@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -30,7 +31,9 @@ SEPARATE_SAMPLE = 400
 VERIFY_SAMPLE = 2_000
 BIG_SIZES = (16, 64, 128)
 CLIQUE_MAX_N = 64
-BIG_INPUTS = 162  # one cold play, one warm-up play, 160 timed warm plays
+BIG_ROUNDS = 25  # rounds of timed warm plays per pass
+ROUND_CLASSES = 20  # inputs per graph and family in one round, one per size class
+MAX_TRIES = 10_000
 
 
 def adjacency(n: int, edges) -> list[int]:
@@ -217,52 +220,68 @@ def random_clique(adj: list[int], pool: list[int], rng: random.Random) -> list[i
     return clique
 
 
-def biclique_input(n, adj, omega_b, i, rng) -> tuple[list[int], list[int]]:
-    """The i-th input: its set sizes cycle through fixed classes, its members are random."""
+def clique_of_size(adj: list[int], pool: list[int], size: int, rng: random.Random) -> list[int]:
+    for _ in range(MAX_TRIES):
+        clique = random_clique(adj, pool, rng)
+        if len(clique) >= size:
+            return clique[:size]
+    raise SystemExit(f"gen: no clique of size {size} found in {MAX_TRIES} tries")
+
+
+def biclique_a_size(n: int, sb: int) -> int:
+    """An |a| that G(n, 1/2) common neighbourhoods of ``sb`` vertices rarely reach."""
+    p = 0.5**sb
+    return math.ceil((n - sb) * p + 3 * math.sqrt((n - sb) * p * (1 - p))) + 1
+
+
+def biclique_input(n, adj, omega_b, c, rng) -> tuple[list[int], list[int]]:
+    """An input of size class ``c``: the sizes are fixed by ``c``, the members are random."""
     vertices = list(range(n))
-    while True:
-        if n <= ORACLE_LIMIT:
-            total = min(n, omega_b + 1 + i % 3)
-            sa = 1 + (i // 3) % (total - 1)
-            chosen = rng.sample(vertices, total)
-            a, b = chosen[:sa], chosen[sa:]
-            return sorted(a), sorted(b)
-        b = rng.sample(vertices, 1 + i % 5)
+    if n <= ORACLE_LIMIT:
+        total = min(n, omega_b + 1 + c % 3)
+        sa = 1 + (c // 3) % (total - 1)
+        chosen = rng.sample(vertices, total)
+        return sorted(chosen[:sa]), sorted(chosen[sa:])
+    sb = 1 + c % 5
+    sa = biclique_a_size(n, sb) + (c // 5) % 4
+    for _ in range(MAX_TRIES):
+        b = rng.sample(vertices, sb)
         gamma = (1 << n) - 1
         for v in b:
             gamma &= adj[v]
-        rest = [v for v in vertices if v not in b]
-        sa = gamma.bit_count() + 1 + (i // 5) % 4
-        if sa > len(rest):
-            continue
-        a = rng.sample(rest, sa)
-        return sorted(a), sorted(b)
+        if gamma.bit_count() < sa:
+            a = rng.sample([v for v in vertices if v not in b], sa)
+            return sorted(a), sorted(b)
+    raise SystemExit(f"gen: no biclique input with |a| = {sa}, |b| = {sb}")
 
 
-def clique_input(n, adj, omega, i, rng) -> tuple[list[int], list[int]]:
-    """Both sides cliques half the time; otherwise one side is not a clique."""
+def clique_input(n, adj, omega, c, rng) -> tuple[list[int], list[int]]:
+    """Both sides cliques half the time; otherwise one side is not a clique.
+
+    The sizes are fixed by the class ``c``: |a| sets which circuit the
+    parties walk, and so most of a play's cost.
+    """
     vertices = list(range(n))
-    shape = ("cliques", "alice-not-clique", "cliques", "bob-not-clique")[i % 4]
-    while True:
+    shape, j = ("cliques", "alice-not-clique", "cliques", "bob-not-clique")[c % 4], c // 4
+    for _ in range(MAX_TRIES):
         if shape == "cliques":
-            a = random_clique(adj, vertices, rng)
-            rest = [v for v in vertices if v not in a]
-            b = random_clique(adj, rest, rng)
-            need = omega + 1 - len(a)
-            if need < 0 or need > len(b):
-                continue
-            b = b[: rng.randint(max(need, 0), len(b))]
-        else:
-            total = rng.randint(omega + 1, min(n, omega + 3))
+            sa = max(1, omega - 3 + j % 3)
+            a = clique_of_size(adj, vertices, sa, rng)
+            b = clique_of_size(adj, [v for v in vertices if v not in a], omega + 1 - sa, rng)
+            return sorted(a), sorted(b)
+        total = omega + 1 + j % 3
+        if shape == "alice-not-clique":
+            sa = 2 + j % 3
             chosen = rng.sample(vertices, total)
-            sa = rng.randint(2, total - 1) if shape == "alice-not-clique" else rng.randint(0, total - 2)
             a, b = chosen[:sa], chosen[sa:]
-            non_clique, other = (a, b) if shape == "alice-not-clique" else (b, a)
-            if is_clique(adj, non_clique):
-                continue
-            if shape == "bob-not-clique" and not is_clique(adj, other):
-                continue
-        return sorted(a), sorted(b)
+            if not is_clique(adj, a):
+                return sorted(a), sorted(b)
+        else:
+            a = clique_of_size(adj, vertices, max(1, omega - 3), rng)
+            b = rng.sample([v for v in vertices if v not in a], total - len(a))
+            if not is_clique(adj, b):
+                return sorted(a), sorted(b)
+    raise SystemExit(f"gen: no {shape} input of class {c}")
 
 
 def gen_big(seed: int, outdir: str) -> dict:
@@ -270,6 +289,9 @@ def gen_big(seed: int, outdir: str) -> dict:
 
     The circuit cost, and so ``bit_bound``'s time, depends on the graph
     alone; keeping the graphs fixed leaves only the inputs to the seed.
+    Per graph and family the inputs are one cold play, one warm-up play and
+    BIG_ROUNDS rounds of ROUND_CLASSES inputs, one of each size class, so
+    every round of every seed asks for the same kind of work.
     """
     entries = []
     for n in BIG_SIZES:
@@ -283,13 +305,14 @@ def gen_big(seed: int, outdir: str) -> dict:
         name = f"gnp{n}.col"
         with open(os.path.join(outdir, name), "w") as fh:
             fh.write(graph_text(n, edges))
+        count = 2 + BIG_ROUNDS * ROUND_CLASSES
         omega_b = max_bicliques(n, adj)[0] if n <= ORACLE_LIMIT else None
-        inputs = {"biclique": [biclique_input(n, adj, omega_b, i, rng) for i in range(BIG_INPUTS)]}
+        inputs = {"biclique": [biclique_input(n, adj, omega_b, i % ROUND_CLASSES, rng) for i in range(count)]}
         if n <= CLIQUE_MAX_N:
             omega = max_clique(n, adj)
-            inputs["clique"] = [clique_input(n, adj, omega, i, rng) for i in range(BIG_INPUTS)]
+            inputs["clique"] = [clique_input(n, adj, omega, i % ROUND_CLASSES, rng) for i in range(count)]
         entries.append({"file": name, "n": n, "inputs": inputs})
-    return {"graphs": entries}
+    return {"graphs": entries, "rounds": BIG_ROUNDS, "round_classes": ROUND_CLASSES}
 
 
 def main(argv: list[str]) -> int:

@@ -6,7 +6,7 @@
 Run it from the root of a checkout; the package is imported from ``src``.
 Inputs come from ``--seed`` (bench/gen.py, in its own process).  The timed
 work runs in child processes, one pass after another, until ``--seconds``
-is used up (at least one pass).  Every output is refereed with the
+is used up (at least two passes).  Every output is refereed with the
 package's own predicates, and the last line of stdout is one JSON object:
 ``correct``, ``attempted``, ``failed`` and ``metrics`` -- the end-to-end
 metrics with ``--trace 0``, the per-layer metrics with ``--trace 1``.
@@ -34,6 +34,7 @@ from spans import aggregate  # noqa: E402
 
 WORKLOADS = ("verify-n5", "separate-n6", "big-graphs")
 SETUP_PROBES = 11
+MIN_PASSES = 2
 DEADLINE_S = 170
 VERIFY_ARGS = ["verify", "--suite", "all", "--n-max", "5"]
 GAME_SUITES = ("game-biclique", "game-clique", "game-relaxed-clique", "game-edge-biclique")
@@ -145,14 +146,14 @@ class Run:
         return statistics.median(walls)
 
     def repeat(self, one_pass) -> list[dict]:
-        """Whole passes until the next one would overrun --seconds (at least one)."""
+        """Whole passes until the next one would overrun --seconds (at least MIN_PASSES)."""
         passes = []
         t0 = time.perf_counter()
         while True:
             start = time.perf_counter()
             passes.append(one_pass())
             last = time.perf_counter() - start
-            if time.perf_counter() - t0 + last > self.seconds:
+            if len(passes) >= MIN_PASSES and time.perf_counter() - t0 + last > self.seconds:
                 return passes
 
 
@@ -253,11 +254,13 @@ def big_result(run: Run, r: dict) -> dict:
     return {
         "wall": r["region_s"],
         "ops": len(r["play_ms"]),
-        "ops_s": r["warm_s"],
+        "ops_s": sum(r["round_s"]),
+        "round_rates": [r["round_plays"] / s for s in r["round_s"]],
         "rss_kb": max(r["process_maxrss_kb"], r["children_maxrss_kb"]),
         "digest": r["plays"]["digest"] + r["cold_digest"],
         "play_ms": r["play_ms"],
         "cold_ms": r["cold_ms"],
+        "job_s": r["job_s"],
         "bound_s": sum(r["bound_s"]),
         "plays": r["plays"],
         "costs": {"depth_max": r["depth_max"], "gates_total": r["gates_total"]},
@@ -281,9 +284,11 @@ def run_big(run: Run):
         "play_ms_p50": statistics.median(play_ms),
         f"play_ms_p{q}": tail,
         "play_samples": len(play_ms),
+        "warm_rounds": sum(len(p["round_rates"]) for p in passes),
         "cold_play_ms": statistics.median([x for p in passes for x in p["cold_ms"]]),
         "cold_samples": sum(len(p["cold_ms"]) for p in passes),
         "bound_s": statistics.median(p["bound_s"] for p in passes),
+        "warm_s_by_job": {job: statistics.median(p["job_s"][job] for p in passes) for job in passes[0]["job_s"]},
         "bits_max": passes[0]["plays"]["bits_max"],
         "bits_mean": passes[0]["plays"]["bits_mean"],
         "transcript_digest": passes[0]["digest"],
@@ -476,7 +481,7 @@ def main(argv=None) -> int:
         metrics = {
             "setup_s": setup,
             "wall_s": statistics.median(p["wall"] for p in passes),
-            "ops_per_s": statistics.median(p["ops"] / p["ops_s"] for p in passes),
+            "ops_per_s": sum(p["ops"] for p in passes) / sum(p["ops_s"] for p in passes),
             "peak_rss_mb": statistics.median(p["rss_kb"] for p in passes) / 1024,
             "depth_max": costs["depth_max"],
             "gates_total": costs["gates_total"],
@@ -500,6 +505,8 @@ def main(argv=None) -> int:
         "end_to_end": metrics,
         "info": info,
         "pass_walls": [p["wall"] for p in passes],
+        "pass_rates": [p["ops"] / p["ops_s"] for p in passes],
+        "round_rates": [p.get("round_rates", []) for p in passes],
         "failures": run.failures[:20],
     }
     if run.trace:

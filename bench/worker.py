@@ -190,7 +190,7 @@ def run_big(mode: str, inputs: str, prefix: str) -> None:
         tracer.install()
         root = tracer.open("bench.pass")
     children = []
-    cold, cold_ms, bound_s, play_ms, warm = [], [], [], [], []
+    cold, cold_ms, bound_s, play_ms, round_s, warm = [], [], [], [], [], []
     configs = {}
     t0 = time.perf_counter()
     for entry, family in jobs:
@@ -216,13 +216,26 @@ def run_big(mode: str, inputs: str, prefix: str) -> None:
         bound = cg.bit_bound(kind, g, cfg)
         bound_s.append(time.perf_counter() - tb)
         configs[entry["file"], family] = (cfg, bound)
-        (a, b), timed = entry["inputs"][family][1], entry["inputs"][family][2:]
+        a, b = entry["inputs"][family][1]
         cg.play(kind, g, a, b, cfg)  # warm-up: oracle caches, first evaluation
-        for a, b in timed:
-            tp = time.perf_counter()
-            outcome = cg.play(kind, g, a, b, cfg)
-            play_ms.append((time.perf_counter() - tp) * 1000)
-            warm.append((entry, family, a, b, outcome))
+    # closed loop, one client: each round plays one input of every size class
+    # on every graph and family, interleaved, so each round asks for the same work
+    classes = manifest["round_classes"]
+    job_s = {f"{entry['file']}:{family}": 0.0 for entry, family in jobs}
+    for r in range(manifest["rounds"]):
+        spent = 0.0
+        for c in range(classes):
+            for entry, family in jobs:
+                g, kind = graphs[entry["file"]], kinds[family]
+                a, b = entry["inputs"][family][2 + r * classes + c]
+                tp = time.perf_counter()
+                outcome = cg.play(kind, g, a, b, configs[entry["file"], family][0])
+                dt = time.perf_counter() - tp
+                spent += dt
+                job_s[f"{entry['file']}:{family}"] += dt
+                play_ms.append(dt * 1000)
+                warm.append((entry, family, a, b, outcome))
+        round_s.append(spent)
     region = time.perf_counter() - t0
     if tracer is not None:
         tracer.close(root)
@@ -260,7 +273,9 @@ def run_big(mode: str, inputs: str, prefix: str) -> None:
         "cold_ms": cold_ms,
         "bound_s": bound_s,
         "play_ms": play_ms,
-        "warm_s": sum(play_ms) / 1000,
+        "round_s": round_s,
+        "job_s": job_s,
+        "round_plays": len(jobs) * manifest["round_classes"],
         "attempted": len(cold) + len(warm),
         "failures": failures,
         "plays": log.summary(),
