@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -172,6 +173,9 @@ class CircuitBuilder:
     Constant folding is the only simplification performed: AND/OR with a
     constant child collapses.  Variable and constant leaves are deduplicated;
     ``build`` prunes everything unreachable from the output and renumbers.
+    One builder can serve many outputs: after ``share`` marks the nodes built
+    so far as common to all of them, ``build`` memoizes their cones instead
+    of walking them again for every output.
     """
 
     def __init__(self, var_count: int):
@@ -179,6 +183,8 @@ class CircuitBuilder:
         self._gates: list[Gate] = []
         self._var_ids: dict[int, int] = {}
         self._const_ids: dict[int, int] = {}
+        self._shared = 0
+        self._shared_cones: dict[int, frozenset[int]] = {}
 
     def _append(self, gate: Gate) -> int:
         self._gates.append(gate)
@@ -262,29 +268,56 @@ class CircuitBuilder:
                 remap.append(self.or_(remap[gate[1]], remap[gate[2]]))
         return remap[sub.output]
 
-    def build(self, output: int) -> Circuit:
-        """Finalize: prune nodes unreachable from ``output`` and renumber."""
-        keep = set()
+    def share(self) -> None:
+        """Mark every node built so far as common to the outputs built next."""
+        self._shared = len(self._gates)
+
+    def _cone(self, output: int, shared: int) -> set[int]:
+        """Nodes reachable from ``output``; those below ``shared`` via the memo."""
+        gates = self._gates
+        keep = {output}
         stack = [output]
         while stack:
-            node = stack.pop()
-            if node in keep:
-                continue
-            keep.add(node)
-            gate = self._gates[node]
+            gate = gates[stack.pop()]
             if gate[0] in (AND, OR):
-                stack.append(gate[1])
-                stack.append(gate[2])
-        order = sorted(keep)
-        renum = {old: new for new, old in enumerate(order)}
-        gates = []
-        for old in order:
+                for child in gate[1:]:
+                    if child in keep:
+                        continue
+                    if child < shared:
+                        cone = self._shared_cones.get(child)
+                        if cone is None:
+                            cone = self._shared_cones[child] = frozenset(self._cone(child, 0))
+                        keep |= cone
+                    else:
+                        keep.add(child)
+                        stack.append(child)
+        return keep
+
+    def build(self, output: int) -> Circuit:
+        """Finalize: prune nodes unreachable from ``output`` and renumber.
+
+        Renumbering keeps the builder's order, so when the kept nodes start
+        with 0, 1, ..., lead - 1 those keep their ids and their gates as is.
+        """
+        order = sorted(self._cone(output, self._shared))
+        lead = bisect_left(range(len(order)), True, key=lambda i: order[i] != i)
+        renum = {old: new for new, old in enumerate(order[lead:], lead)}
+        gates = self._gates[:lead]
+        for old in order[lead:]:
             gate = self._gates[old]
             if gate[0] in (AND, OR):
-                gates.append((gate[0], renum[gate[1]], renum[gate[2]]))
+                left, right = gate[1], gate[2]
+                gates.append(
+                    (
+                        gate[0],
+                        left if left < lead else renum[left],
+                        right if right < lead else renum[right],
+                    )
+                )
             else:
                 gates.append(gate)
-        return Circuit(gates=tuple(gates), output=renum[output], var_count=self.var_count)
+        out = output if output < lead else renum[output]
+        return Circuit(gates=tuple(gates), output=out, var_count=self.var_count)
 
 
 def sorting_network(width: int) -> list[tuple[int, int]]:
@@ -325,14 +358,14 @@ def comparator_depths(width: int) -> list[int]:
     return depths
 
 
-def build_threshold_sort(n: int, k: int) -> Circuit:
-    """Threshold via a sorting network: the k-th largest of n wires.
+@lru_cache(maxsize=16)
+def _sorted_wires(n: int) -> tuple[CircuitBuilder, list[int]]:
+    """One sorting network over n inputs; wire ``len(wires) - k`` is threshold-k.
 
     Inputs are padded with constant-0 wires up to the next power of two;
     constant propagation removes every comparator that only shuffles pads.
+    The builder is only ever read afterwards, so one network serves every k.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"threshold arity out of range: k={k}, n={n}")
     width = 1 << (n - 1).bit_length() if n > 1 else 1
     b = CircuitBuilder(n)
     wires = [b.var(i) for i in range(n)] + [b.const(0)] * (width - n)
@@ -340,7 +373,15 @@ def build_threshold_sort(n: int, k: int) -> Circuit:
         lo = b.and_(wires[i], wires[j])
         hi = b.or_(wires[i], wires[j])
         wires[i], wires[j] = lo, hi
-    return b.build(wires[width - k])
+    return b, wires
+
+
+def build_threshold_sort(n: int, k: int) -> Circuit:
+    """Threshold via a sorting network: the k-th largest of n wires."""
+    if not 1 <= k <= n:
+        raise ValueError(f"threshold arity out of range: k={k}, n={n}")
+    b, wires = _sorted_wires(n)
+    return b.build(wires[len(wires) - k])
 
 
 def _majority_padding(n: int, k: int) -> tuple[int, int]:

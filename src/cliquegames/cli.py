@@ -46,11 +46,20 @@ EXIT_ORACLE = 4
 _GAME_NAMES = ("biclique", "clique", "relaxed-clique", "edge-biclique")
 
 
+class UsageError(ValueError):
+    """A malformed flag value or environment override (exit 2)."""
+
+
 def _env(name: str, fallback):
     raw = os.environ.get(f"CLIQUEGAMES_{name}")
     if raw is None:
         return fallback
-    return type(fallback)(raw)
+    try:
+        return type(fallback)(raw)
+    except ValueError:
+        raise UsageError(
+            f"CLIQUEGAMES_{name}={raw!r} is not a valid {type(fallback).__name__}"
+        ) from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -110,7 +119,10 @@ def _parse_vertex_list(raw: str, g: Graph, removed_labels: frozenset, flag: str)
         piece = piece.strip()
         if not piece:
             continue
-        label = int(piece)
+        try:
+            label = int(piece)
+        except ValueError:
+            raise UsageError(f"{flag}: {piece!r} is not a vertex label") from None
         if label in removed_labels:
             raise ValueError(
                 f"{flag}: vertex {label} was removed by star stripping"
@@ -272,10 +284,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    try:
+        parser = _build_parser()
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except GraphParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -179,11 +179,14 @@ def monomial_universe(g: Graph) -> list[int]:
 
 
 def _vertex_monomials(b: CircuitBuilder, g: Graph, idx: NonedgeIndex, vertices) -> list[int]:
+    incident: list[list[int]] = [[] for _ in range(g.n)]
+    for i, (x, y) in enumerate(idx.pairs):
+        incident[x].append(i)
+        incident[y].append(i)
     monomials = []
     for v in vertices:
-        incident = [b.var(i) for i, (x, y) in enumerate(idx.pairs) if v == x or v == y]
-        if incident:
-            monomials.append(b.and_tree(incident))
+        if incident[v]:
+            monomials.append(b.and_tree([b.var(i) for i in incident[v]]))
         elif g.bipartition is not None:
             # adjacent to the whole opposite part: the empty AND is constant 1
             monomials.append(b.const(1))
@@ -195,6 +198,88 @@ def _vertex_monomials(b: CircuitBuilder, g: Graph, idx: NonedgeIndex, vertices) 
 ThresholdBuilder = Callable[[int, int], Circuit]
 
 
+class SeparatorNetwork:
+    """Every k's separator circuit of one (graph, family), on one shared builder.
+
+    ``leaves(b)`` builds one input node per vertex slot on the builder ``b``
+    and returns the lookup from slot to node: the vertex monomials for game
+    circuits, plain vertex variables for ``induced_clique_circuit``.  It runs
+    once, on the first request.  Each new k then grafts the (slots, k)
+    threshold onto those nodes -- for the clique family, one graft per
+    maximal clique with at least k members, under an OR tree -- and keeps
+    the pruned cone of that output.  Grafts never share gates, so the cone
+    is exactly the circuit a fresh builder would produce for that k alone.
+    Once every k has been built the builder is dropped, so a finished
+    network holds only its circuits.
+    """
+
+    def __init__(
+        self,
+        g: Graph,
+        family: str,
+        threshold: ThresholdBuilder,
+        slots: int,
+        var_count: int,
+        leaves: Callable[[CircuitBuilder], Callable[[int], int]],
+    ):
+        self.g = g
+        self.family = family
+        self.slots = slots
+        self.circuits: dict[int, Circuit] = {}
+        self._threshold = threshold
+        self._builder = CircuitBuilder(var_count)
+        self._leaves = leaves
+        self._leaf: Callable[[int], int] | None = None
+
+    def circuit(self, k: int) -> Circuit:
+        circ = self.circuits.get(k)
+        if circ is not None:
+            return circ
+        if not 1 <= k <= self.slots:
+            raise ValueError(f"k={k} out of range 1..{self.slots}")
+        b, threshold = self._builder, self._threshold
+        if self._leaf is None:
+            self._leaf = self._leaves(b)
+            b.share()
+        leaf = self._leaf
+        if self.family == "clique":
+            qualifying = [c for c in maximal_cliques(self.g) if len(c) >= k]
+            if qualifying:
+                out = b.or_tree(
+                    [b.graft(threshold(len(c), k), [leaf(v) for v in c]) for c in qualifying]
+                )
+            else:
+                out = b.const(0)
+        else:
+            out = b.graft(threshold(self.slots, k), [leaf(i) for i in range(self.slots)])
+        circ = self.circuits[k] = b.build(out)
+        if len(self.circuits) == self.slots:
+            self._builder = self._threshold = self._leaves = self._leaf = None
+        return circ
+
+
+def _monomial_network(
+    g: Graph, idx: NonedgeIndex, family: str, builder: ThresholdBuilder
+) -> SeparatorNetwork:
+    """The network of game circuits over the vertex monomials of ``g``.
+
+    ``family`` is ``"threshold"`` (threshold-k of the monomials of the
+    monomial universe) or ``"clique"`` (the induced-k-clique circuit applied
+    to the monomials of every vertex).
+    """
+    if family == "clique" and g.bipartition is not None:
+        raise ValueError("clique games need the full nonedge space; drop the bipartition")
+    universe = range(g.n) if family == "clique" else monomial_universe(g)
+    return SeparatorNetwork(
+        g,
+        family,
+        builder,
+        len(universe),
+        len(idx),
+        lambda b: _vertex_monomials(b, g, idx, universe).__getitem__,
+    )
+
+
 def monomial_threshold_circuit(
     g: Graph, idx: NonedgeIndex, k: int, builder: ThresholdBuilder
 ) -> Circuit:
@@ -204,13 +289,7 @@ def monomial_threshold_circuit(
     all their incident nonedge variables set, i.e. when the input covers the
     incident-nonedge set of some k-element vertex set.
     """
-    universe = monomial_universe(g)
-    if not 1 <= k <= len(universe):
-        raise ValueError(f"k={k} out of range 1..{len(universe)}")
-    b = CircuitBuilder(len(idx))
-    monomials = _vertex_monomials(b, g, idx, universe)
-    th = builder(len(universe), k)
-    return b.build(b.graft(th, monomials))
+    return _monomial_network(g, idx, "threshold", builder).circuit(k)
 
 
 def induced_clique_circuit(g: Graph, k: int, builder: ThresholdBuilder) -> Circuit:
@@ -220,17 +299,7 @@ def induced_clique_circuit(g: Graph, k: int, builder: ThresholdBuilder) -> Circu
     maximal cliques of size >= k, a threshold-k circuit restricted to that
     clique's variables.  Constant 0 when no maximal clique is large enough.
     """
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k={k} out of range 1..{g.n}")
-    b = CircuitBuilder(g.n)
-    qualifying = [c for c in maximal_cliques(g) if len(c) >= k]
-    if not qualifying:
-        return b.build(b.const(0))
-    instances = []
-    for members in qualifying:
-        th = builder(len(members), k)
-        instances.append(b.graft(th, [b.var(v) for v in members]))
-    return b.build(b.or_tree(instances))
+    return SeparatorNetwork(g, "clique", builder, g.n, g.n, lambda b: b.var).circuit(k)
 
 
 def monomial_clique_circuit(
@@ -242,12 +311,7 @@ def monomial_clique_circuit(
     clique game needs: a clique ``b`` that shares no vertex with a clique
     ``c`` and satisfies the promise always kills every monomial.
     """
-    if g.bipartition is not None:
-        raise ValueError("clique games need the full nonedge space; drop the bipartition")
-    b = CircuitBuilder(len(idx))
-    monomials = _vertex_monomials(b, g, idx, range(g.n))
-    icc = induced_clique_circuit(g, k, builder)
-    return b.build(b.graft(icc, monomials))
+    return _monomial_network(g, idx, "clique", builder).circuit(k)
 
 
 # --------------------------------------------------------------------------
@@ -306,8 +370,15 @@ def _encode_pair(pair: Pair, n: int) -> str:
 
 
 def _decode_pair(bits: str, n: int) -> Pair:
+    """Inverse of ``_encode_pair``; rejects anything it could not have sent."""
     w = vertex_field_width(n)
+    if len(bits) != 2 * w or set(bits) - {"0", "1"}:
+        raise ValueError(f"a vertex pair takes {2 * w} binary digits, got {bits!r}")
     u, v = int(bits[:w], 2), int(bits[w:], 2)
+    if u >= n or v >= n:
+        raise ValueError(f"vertex pair ({u}, {v}) out of range for n={n}")
+    if u == v:
+        raise ValueError(f"vertex pair ({u}, {v}) names one vertex twice")
     return (u, v) if u < v else (v, u)
 
 
@@ -316,44 +387,52 @@ def _decode_pair(bits: str, n: int) -> Pair:
 
 
 def _threshold_builder(cfg: GameConfig) -> ThresholdBuilder:
+    # reads the settings now and holds no reference to ``cfg``, so a network
+    # cached in ``cfg.circuit_cache`` makes no reference cycle through it
     cache = cfg.circuit_cache.setdefault("thresholds", {})
+    name, seed, depth_factor = cfg.builder, cfg.seed, cfg.depth_factor
+    retries, verify_budget = cfg.retries, cfg.verify_budget
 
     def build(m: int, k: int) -> Circuit:
-        key = (cfg.builder, m, k, cfg.seed, cfg.depth_factor)
+        key = (name, m, k, seed, depth_factor)
         circ = cache.get(key)
         if circ is None:
-            if cfg.builder == "sort":
+            if name == "sort":
                 circ = build_threshold_sort(m, k)
-            elif cfg.builder == "valiant":
+            elif name == "valiant":
                 circ = build_threshold_valiant(
                     m,
                     k,
-                    seed=cfg.seed,
-                    depth_factor=cfg.depth_factor,
-                    retries=cfg.retries,
-                    verify_budget=cfg.verify_budget,
+                    seed=seed,
+                    depth_factor=depth_factor,
+                    retries=retries,
+                    verify_budget=verify_budget,
                 )
             else:
-                raise ValueError(f"unknown threshold builder {cfg.builder!r}")
+                raise ValueError(f"unknown threshold builder {name!r}")
             cache[key] = circ
         return circ
 
     return build
 
 
+def _family(kind: GameKind) -> str:
+    return "clique" if kind.name == "clique" else "threshold"
+
+
+def _game_network(g: Graph, idx: NonedgeIndex, kind: GameKind, cfg: GameConfig) -> SeparatorNetwork:
+    family = _family(kind)
+    key = (g, family, cfg.builder, cfg.seed, cfg.depth_factor)
+    net = cfg.circuit_cache.get(key)
+    if net is None:
+        net = _monomial_network(g, idx, family, _threshold_builder(cfg))
+        cfg.circuit_cache[key] = net
+    return net
+
+
 def game_circuit(g: Graph, idx: NonedgeIndex, kind: GameKind, k: int, cfg: GameConfig) -> Circuit:
     """The circuit both parties deterministically rebuild for round k."""
-    family = "clique" if kind.name == "clique" else "threshold"
-    key = (g, family, k, cfg.builder, cfg.seed, cfg.depth_factor)
-    circ = cfg.circuit_cache.get(key)
-    if circ is None:
-        builder = _threshold_builder(cfg)
-        if family == "clique":
-            circ = monomial_clique_circuit(g, idx, k, builder)
-        else:
-            circ = monomial_threshold_circuit(g, idx, k, builder)
-        cfg.circuit_cache[key] = circ
-    return circ
+    return _game_network(g, idx, kind, cfg).circuit(k)
 
 
 def _nonedge_index(g: Graph, cfg: GameConfig) -> NonedgeIndex:
@@ -420,11 +499,12 @@ class _Party:
         assert self.k is not None
         self.circuit = game_circuit(self.g, self.idx, self.kind, self.k, self.cfg)
         vec = self._vector()
-        key = (id(self.circuit), vec)
-        vals = self.cfg.eval_cache.get(key)
+        cfg = self.cfg
+        key = (self.g, _family(self.kind), self.k, cfg.builder, cfg.seed, cfg.depth_factor, vec)
+        vals = cfg.eval_cache.get(key)
         if vals is None:
             vals = node_values(self.circuit, vec)
-            self.cfg.eval_cache[key] = vals
+            cfg.eval_cache[key] = vals
         self.vals = vals
         self.cursor = self.circuit.output
         if self.vals[self.cursor] != self.target:
@@ -763,12 +843,12 @@ def bit_bound(kind: GameKind, g: Graph, config: Optional[GameConfig] = None) -> 
 
     Handshake bits (2 for the clique-style games) plus the fixed-width size
     announcement plus the depth of the deepest circuit the protocol could
-    traverse.  Computed from the actually constructed circuits, so it is a
-    checkable bound rather than an asymptotic claim.
+    traverse.  Computed from the actually constructed circuits (every k, so
+    later plays find them all built), so it is a checkable bound rather than
+    an asymptotic claim.
     """
     cfg = config if config is not None else GameConfig()
-    idx = _nonedge_index(g, cfg)
+    net = _game_network(g, _nonedge_index(g, cfg), kind, cfg)
     handshake = 2 if kind.has_handshake else 0
-    k_max = g.n if kind.name == "clique" else len(monomial_universe(g))
-    depths = [game_circuit(g, idx, kind, k, cfg).depth for k in range(1, k_max + 1)]
+    depths = [net.circuit(k).depth for k in range(1, net.slots + 1)]
     return handshake + size_field_width(g.n) + max(depths, default=0)

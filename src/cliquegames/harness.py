@@ -408,7 +408,7 @@ def _suite_induced_clique(graphs, cfg: GameConfig, report: SuiteReport) -> None:
 
 
 def _referee_play(
-    g: Graph, kind: GameKind, vi: ValidInput, cfg: GameConfig, report: SuiteReport
+    g: Graph, kind: GameKind, vi: ValidInput, cfg: GameConfig, bound: int, report: SuiteReport
 ) -> None:
     outcome = play(kind, g, vi.a, vi.b, cfg)
     report.inputs_tested += 1
@@ -419,7 +419,7 @@ def _referee_play(
         problems.append("answer-mismatch")
     if not legal_answer(kind, g, vi.a, vi.b, outcome.nonedge):
         problems.append("illegal-answer")
-    if bits > bit_bound(kind, g, cfg):
+    if bits > bound:
         problems.append("bits-exceed-bound")
     if replay_transcript(g, kind, outcome.transcript, cfg) != outcome.nonedge:
         problems.append("transcript-not-decodable")
@@ -454,9 +454,10 @@ def _make_game_suite(kind: GameKind):
                 verify_budget=cfg.verify_budget,
             )
             graph_cfg.circuit_cache["thresholds"] = shared_thresholds
-            report.bound = max(report.bound, bit_bound(kind, g, graph_cfg))
+            bound = bit_bound(kind, g, graph_cfg)
+            report.bound = max(report.bound, bound)
             for vi in enumerate_valid_inputs(g, kind, graph_cfg):
-                _referee_play(g, kind, vi, graph_cfg, report)
+                _referee_play(g, kind, vi, graph_cfg, bound, report)
 
     run.__doc__ = f"Referee every valid input of the {kind.name} game."
     return run

@@ -114,3 +114,52 @@ def brute_separator_value(g: Graph, idx, k: int, bits, clique_only: bool) -> int
 
 def brute_contains_k_clique(g: Graph, members, k: int) -> bool:
     return any(brute_is_clique(g, c) for c in itertools.combinations(sorted(members), k))
+
+
+def reference_game_circuit(g: Graph, idx, family: str, k: int, threshold):
+    """The per-k construction the game circuits must reproduce exactly.
+
+    A fresh ``CircuitBuilder`` for this k alone: every vertex monomial is
+    rebuilt by scanning all nonedges, then the ``threshold(m, k)`` circuit
+    (``family == "threshold"``) or the OR over maximal cliques of at least k
+    vertices of per-clique thresholds (``family == "clique"``) is grafted
+    onto them.  Unlike the rest of this module it uses the circuit layer and
+    the maximal-clique oracle (checked against ``brute_maximal_cliques``
+    elsewhere), since the point is a gate-for-gate comparison at sizes
+    subset enumeration cannot reach.
+    """
+    from cliquegames.circuit import CircuitBuilder
+    from cliquegames.graph import maximal_cliques
+
+    if family == "clique":
+        if g.bipartition is not None:
+            raise ValueError("clique games need the full nonedge space")
+        universe = list(range(g.n))
+    elif g.bipartition is not None:
+        universe = sorted(g.bipartition[0])
+    else:
+        universe = list(range(g.n))
+    if not 1 <= k <= len(universe):
+        raise ValueError(f"k={k} out of range")
+    b = CircuitBuilder(len(idx))
+    monomials = []
+    for v in universe:
+        incident = [b.var(i) for i, (x, y) in enumerate(idx.pairs) if v in (x, y)]
+        if incident:
+            monomials.append(b.and_tree(incident))
+        elif g.bipartition is not None:
+            monomials.append(b.const(1))
+        else:
+            raise ValueError(f"vertex {v} touches no nonedge")
+    if family == "threshold":
+        return b.build(b.graft(threshold(len(universe), k), monomials))
+    # the induced-clique circuit on vertex variables, grafted onto the monomials
+    inner = CircuitBuilder(g.n)
+    qualifying = [c for c in maximal_cliques(g) if len(c) >= k]
+    if qualifying:
+        out = inner.or_tree(
+            [inner.graft(threshold(len(c), k), [inner.var(v) for v in c]) for c in qualifying]
+        )
+    else:
+        out = inner.const(0)
+    return b.build(b.graft(inner.build(out), monomials))

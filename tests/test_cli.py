@@ -125,6 +125,15 @@ class TestExitCodes:
         assert main(["oracle", str(big)]) == 4
         assert "oracle limit" in capsys.readouterr().err
 
+    def test_bad_env_value_is_2(self, p4_file, capsys, monkeypatch):
+        monkeypatch.setenv("CLIQUEGAMES_SEED", "abc")
+        assert main(["oracle", p4_file]) == 2
+        assert "CLIQUEGAMES_SEED" in capsys.readouterr().err
+
+    def test_bad_vertex_label_is_2(self, p4_file, capsys):
+        assert main(["play", p4_file, "--game", "biclique", "--a", "x", "--b", "3,4"]) == 2
+        assert "--a" in capsys.readouterr().err
+
     def test_env_override(self, p4_file, capsys, monkeypatch):
         monkeypatch.setenv("CLIQUEGAMES_OUTPUT", "text")
         assert main(["oracle", p4_file]) == 0

@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from cliquegames.circuit import CircuitBuilder, build_threshold_sort, evaluate
+from cliquegames.circuit import (
+    CircuitBuilder,
+    build_threshold_sort,
+    build_threshold_valiant,
+    evaluate,
+    serialize_circuit,
+)
 from cliquegames.games import (
     BICLIQUE,
     CLIQUE,
@@ -31,8 +37,14 @@ from cliquegames.games import (
     size_field_width,
     vertex_field_width,
 )
-from cliquegames.games import _Channel, _threshold_builder
-from cliquegames.graph import graph_from_edges, max_clique_size, nonedges
+from cliquegames.games import (
+    _Channel,
+    _decode_pair,
+    _encode_pair,
+    _threshold_builder,
+    monomial_universe,
+)
+from cliquegames.graph import graph_from_edges, max_clique_size, nonedges, strip_stars
 from cliquegames.harness import (
     catalog_all_graphs,
     complete_bipartite_graph,
@@ -42,7 +54,7 @@ from cliquegames.harness import (
     random_graph,
 )
 
-from brute import brute_separator_value
+from brute import brute_separator_value, reference_game_circuit
 
 
 @pytest.fixture
@@ -156,6 +168,92 @@ class TestSeparatorCircuits:
         star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
         with pytest.raises(ValueError, match="strip"):
             monomial_threshold_circuit(star, nonedges(star), 1, build_threshold_sort)
+
+
+def _assert_matches_reference(g, cfg, threshold, kinds=(BICLIQUE, CLIQUE)):
+    idx = nonedges(g)
+    for kind in kinds:
+        family = "clique" if kind == CLIQUE else "threshold"
+        for k in range(1, g.n + 1):
+            try:
+                want = serialize_circuit(reference_game_circuit(g, idx, family, k, threshold))
+            except ValueError:
+                with pytest.raises(ValueError):
+                    game_circuit(g, idx, kind, k, cfg)
+                continue
+            got = serialize_circuit(game_circuit(g, idx, kind, k, cfg))
+            assert got == want, (g.n, sorted(g.edges), kind.name, k)
+
+
+class TestSharedNetwork:
+    """Game circuits come from one builder per (graph, family); each k's
+    circuit must still be gate-for-gate the per-k construction."""
+
+    def test_matches_per_k_reference_on_catalog(self):
+        for g in catalog_all_graphs(5):
+            _assert_matches_reference(g, GameConfig(), build_threshold_sort)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_matches_per_k_reference_on_random_graphs(self, n):
+        g, _ = strip_stars(random_graph(n, 0.5, random.Random(n)))
+        _assert_matches_reference(g, GameConfig(), build_threshold_sort)
+
+    def test_matches_per_k_reference_on_bipartite_graph(self):
+        # vertex 1 is adjacent to the whole second part: a constant-1 monomial
+        g = graph_from_edges(
+            5, [(0, 3), (1, 3), (1, 4), (2, 4)], bipartition=({0, 1, 2}, {3, 4})
+        )
+        _assert_matches_reference(g, GameConfig(), build_threshold_sort)
+        with pytest.raises(ValueError, match="full nonedge space"):
+            game_circuit(g, nonedges(g), CLIQUE, 1, GameConfig())
+
+    def test_valiant_builder_is_used(self, p4, c5):
+        cfg = GameConfig(builder="valiant", seed=3)
+
+        def valiant(m, k):
+            return build_threshold_valiant(m, k, seed=3, depth_factor=cfg.depth_factor)
+
+        differs = False
+        for g in (p4, c5):
+            _assert_matches_reference(g, cfg, valiant)
+            idx = nonedges(g)
+            for k in range(1, g.n + 1):
+                differs |= serialize_circuit(game_circuit(g, idx, BICLIQUE, k, cfg)) != (
+                    serialize_circuit(game_circuit(g, idx, BICLIQUE, k, GameConfig()))
+                )
+        assert differs
+
+    def test_each_monomial_built_once(self, monkeypatch):
+        g, _ = strip_stars(random_graph(32, 0.5, random.Random(32)))
+        calls = []
+        and_tree = CircuitBuilder.and_tree
+
+        def counting(self, nodes):
+            calls.append(len(nodes))
+            return and_tree(self, nodes)
+
+        monkeypatch.setattr(CircuitBuilder, "and_tree", counting)
+        cfg = GameConfig()
+        bit_bound(BICLIQUE, g, cfg)
+        assert len(calls) == len(monomial_universe(g))
+        bit_bound(CLIQUE, g, cfg)
+        assert len(calls) == len(monomial_universe(g)) + g.n
+
+    def test_builder_dropped_once_every_k_is_built(self, p4):
+        cfg = GameConfig()
+        idx = nonedges(p4)
+        game_circuit(p4, idx, BICLIQUE, 1, cfg)
+        (net,) = [v for key, v in cfg.circuit_cache.items() if key != "thresholds" and key[0] == p4]
+        assert net._builder is not None
+        bit_bound(BICLIQUE, p4, cfg)
+        assert net._builder is None and sorted(net.circuits) == [1, 2, 3, 4]
+
+    def test_eval_cache_keyed_on_values(self, p4):
+        cfg = GameConfig()
+        play(BICLIQUE, p4, {0, 1}, {2, 3}, cfg)
+        for key in cfg.eval_cache:
+            assert key[0] == p4 and key[1] == "threshold" and key[2] == 2
+            assert len(key[-1]) == len(nonedges(p4))
 
 
 class TestInducedCliqueCircuit:
@@ -453,6 +551,37 @@ class TestReplay:
     def test_shortcut_games(self, c5):
         out = play(CLIQUE, c5, {0, 2}, {4})
         assert replay_transcript(c5, CLIQUE, out.transcript) == out.nonedge
+
+    def test_pair_round_trip(self):
+        for n in (2, 5, 8):
+            for u, v in itertools.combinations(range(n), 2):
+                assert _decode_pair(_encode_pair((v, u), n), n) == (u, v)
+
+    def test_decode_rejects_wrong_width(self):
+        with pytest.raises(ValueError, match="binary digits"):
+            _decode_pair("11111", 5)
+        with pytest.raises(ValueError, match="binary digits"):
+            _decode_pair("0010011", 5)
+        with pytest.raises(ValueError, match="binary digits"):
+            _decode_pair("001 01", 4)
+
+    def test_decode_rejects_endpoint_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            _decode_pair("111111", 5)
+        with pytest.raises(ValueError, match="out of range"):
+            _decode_pair("000101", 5)
+
+    def test_decode_rejects_repeated_vertex(self):
+        with pytest.raises(ValueError, match="twice"):
+            _decode_pair("010010", 5)
+
+    def test_replay_rejects_forged_nonedge(self, c5):
+        out = play(CLIQUE, c5, {0, 2}, {4})
+        entries = list(out.transcript.entries)
+        assert entries[1].meaning == "alice-nonedge"
+        entries[1] = entries[1].__class__(2, "A", "111111", "alice-nonedge")
+        with pytest.raises(ValueError, match="out of range"):
+            replay_transcript(c5, CLIQUE, entries)
 
     def test_malformed_transcript_rejected(self, p4):
         out = play(BICLIQUE, p4, {0, 1}, {2, 3})
