@@ -17,7 +17,9 @@ are 1"):
   inputs.  Correctness is guaranteed by an explicit verification pass over
   the weight-(k-1) and weight-k boundary inputs (sufficient by
   monotonicity), retrying with fresh randomness as needed.  Depth
-  O(log n), but the mandatory verification limits usable sizes.
+  O(log n), but the mandatory verification limits usable sizes.  The games
+  do not use it: it was never shallower than the sorting network at any
+  size its verification can reach.
 """
 
 from __future__ import annotations
@@ -376,8 +378,10 @@ def _sorted_wires(n: int) -> tuple[CircuitBuilder, list[int]]:
     return b, wires
 
 
+# room for every k of a 128-input network plus the small widths of cliques
+@lru_cache(maxsize=256)
 def build_threshold_sort(n: int, k: int) -> Circuit:
-    """Threshold via a sorting network: the k-th largest of n wires."""
+    """Threshold via a sorting network: the k-th largest of n wires (memoized)."""
     if not 1 <= k <= n:
         raise ValueError(f"threshold arity out of range: k={k}, n={n}")
     b, wires = _sorted_wires(n)

@@ -50,10 +50,14 @@ class UsageError(ValueError):
     """A malformed flag value or environment override (exit 2)."""
 
 
-def _env(name: str, fallback):
+def _env(name: str, fallback, choices: Sequence = ()):
     raw = os.environ.get(f"CLIQUEGAMES_{name}")
     if raw is None:
         return fallback
+    if choices and raw not in choices:
+        raise UsageError(
+            f"CLIQUEGAMES_{name}={raw!r} is not one of {', '.join(choices)}"
+        )
     try:
         return type(fallback)(raw)
     except ValueError:
@@ -64,14 +68,10 @@ def _env(name: str, fallback):
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--builder",
-        choices=("sort", "valiant"),
-        default=_env("BUILDER", "sort"),
-        help="threshold circuit engine (default: sort)",
-    )
-    parser.add_argument("--seed", type=int, default=_env("SEED", 0))
-    parser.add_argument(
-        "--depth-factor", type=float, default=_env("DEPTH_FACTOR", 2.7)
+        "--seed",
+        type=int,
+        default=_env("SEED", 0),
+        help="recorded in the output; every circuit is deterministic",
     )
     parser.add_argument(
         "--oracle-limit",
@@ -79,19 +79,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=_env("ORACLE_LIMIT", 16),
         help="largest n the exact oracles will accept",
     )
-    parser.add_argument(
-        "--output", choices=("json", "text"), default=_env("OUTPUT", "json")
-    )
+    outputs = ("json", "text")
+    parser.add_argument("--output", choices=outputs, default=_env("OUTPUT", "json", outputs))
     parser.add_argument("-v", "--verbose", action="count", default=0)
 
 
 def _config(args) -> GameConfig:
-    return GameConfig(
-        builder=args.builder,
-        seed=args.seed,
-        depth_factor=args.depth_factor,
-        oracle_limit=args.oracle_limit,
-    )
+    return GameConfig(seed=args.seed, oracle_limit=args.oracle_limit)
 
 
 def _dump(obj) -> str:
@@ -167,7 +161,7 @@ def _cmd_build_circuit(args) -> int:
                     "n": g.n,
                     "game": kind.name,
                     "k": args.k,
-                    "builder": cfg.builder,
+                    "builder": "sort",
                     "seed": cfg.seed,
                     "depth": circ.depth,
                     "size": circ.size,

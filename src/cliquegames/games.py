@@ -44,7 +44,6 @@ from .circuit import (
     CircuitBuilder,
     CircuitInvariantError,
     build_threshold_sort,
-    build_threshold_valiant,
     node_values,
 )
 from .graph import (
@@ -114,19 +113,17 @@ def kind_from_name(name: str, edge_bound: Optional[int] = None) -> GameKind:
 
 @dataclass
 class GameConfig:
-    """Knobs shared by circuit construction, play, and the harness.
+    """Settings shared by play and the harness, plus per-graph memo tables.
 
-    The cache dicts are pure memoization keyed on immutable inputs; sharing
-    a config across plays of the same graph avoids rebuilding circuits and
-    re-evaluating repeated vectors.
+    ``seed`` is only recorded in the output: every circuit is the
+    deterministic sorting-network construction.  The cache dicts are pure
+    memoization keyed on immutable inputs; sharing a config across plays of
+    the same graph avoids rebuilding circuits and re-evaluating repeated
+    vectors.
     """
 
-    builder: str = "sort"
     seed: int = 0
-    depth_factor: float = 2.7
     oracle_limit: int = 16
-    retries: int = 64
-    verify_budget: int = 8192
     circuit_cache: dict = field(default_factory=dict, repr=False, compare=False)
     eval_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -195,9 +192,6 @@ def _vertex_monomials(b: CircuitBuilder, g: Graph, idx: NonedgeIndex, vertices) 
     return monomials
 
 
-ThresholdBuilder = Callable[[int, int], Circuit]
-
-
 class SeparatorNetwork:
     """Every k's separator circuit of one (graph, family), on one shared builder.
 
@@ -205,10 +199,11 @@ class SeparatorNetwork:
     and returns the lookup from slot to node: the vertex monomials for game
     circuits, plain vertex variables for ``induced_clique_circuit``.  It runs
     once, on the first request.  Each new k then grafts the (slots, k)
-    threshold onto those nodes -- for the clique family, one graft per
-    maximal clique with at least k members, under an OR tree -- and keeps
-    the pruned cone of that output.  Grafts never share gates, so the cone
-    is exactly the circuit a fresh builder would produce for that k alone.
+    sorting-network threshold onto those nodes -- for the clique family,
+    one graft per maximal clique with at least k members, under an OR tree
+    -- and keeps the pruned cone of that output.  Grafts never share gates,
+    so the cone is exactly the circuit a fresh builder would produce for
+    that k alone.
     Once every k has been built the builder is dropped, so a finished
     network holds only its circuits.
     """
@@ -217,7 +212,6 @@ class SeparatorNetwork:
         self,
         g: Graph,
         family: str,
-        threshold: ThresholdBuilder,
         slots: int,
         var_count: int,
         leaves: Callable[[CircuitBuilder], Callable[[int], int]],
@@ -226,7 +220,6 @@ class SeparatorNetwork:
         self.family = family
         self.slots = slots
         self.circuits: dict[int, Circuit] = {}
-        self._threshold = threshold
         self._builder = CircuitBuilder(var_count)
         self._leaves = leaves
         self._leaf: Callable[[int], int] | None = None
@@ -237,7 +230,7 @@ class SeparatorNetwork:
             return circ
         if not 1 <= k <= self.slots:
             raise ValueError(f"k={k} out of range 1..{self.slots}")
-        b, threshold = self._builder, self._threshold
+        b = self._builder
         if self._leaf is None:
             self._leaf = self._leaves(b)
             b.share()
@@ -246,21 +239,19 @@ class SeparatorNetwork:
             qualifying = [c for c in maximal_cliques(self.g) if len(c) >= k]
             if qualifying:
                 out = b.or_tree(
-                    [b.graft(threshold(len(c), k), [leaf(v) for v in c]) for c in qualifying]
+                    [b.graft(build_threshold_sort(len(c), k), [leaf(v) for v in c]) for c in qualifying]
                 )
             else:
                 out = b.const(0)
         else:
-            out = b.graft(threshold(self.slots, k), [leaf(i) for i in range(self.slots)])
+            out = b.graft(build_threshold_sort(self.slots, k), [leaf(i) for i in range(self.slots)])
         circ = self.circuits[k] = b.build(out)
         if len(self.circuits) == self.slots:
-            self._builder = self._threshold = self._leaves = self._leaf = None
+            self._builder = self._leaves = self._leaf = None
         return circ
 
 
-def _monomial_network(
-    g: Graph, idx: NonedgeIndex, family: str, builder: ThresholdBuilder
-) -> SeparatorNetwork:
+def _monomial_network(g: Graph, idx: NonedgeIndex, family: str) -> SeparatorNetwork:
     """The network of game circuits over the vertex monomials of ``g``.
 
     ``family`` is ``"threshold"`` (threshold-k of the monomials of the
@@ -271,47 +262,38 @@ def _monomial_network(
         raise ValueError("clique games need the full nonedge space; drop the bipartition")
     universe = range(g.n) if family == "clique" else monomial_universe(g)
     return SeparatorNetwork(
-        g,
-        family,
-        builder,
-        len(universe),
-        len(idx),
-        lambda b: _vertex_monomials(b, g, idx, universe).__getitem__,
+        g, family, len(universe), len(idx), lambda b: _vertex_monomials(b, g, idx, universe).__getitem__
     )
 
 
-def monomial_threshold_circuit(
-    g: Graph, idx: NonedgeIndex, k: int, builder: ThresholdBuilder
-) -> Circuit:
+def monomial_threshold_circuit(g: Graph, idx: NonedgeIndex, k: int) -> Circuit:
     """Threshold-k of the vertex monomials, over the nonedge variables.
 
     Fires exactly when at least k vertices (of the monomial universe) have
     all their incident nonedge variables set, i.e. when the input covers the
     incident-nonedge set of some k-element vertex set.
     """
-    return _monomial_network(g, idx, "threshold", builder).circuit(k)
+    return _monomial_network(g, idx, "threshold").circuit(k)
 
 
-def induced_clique_circuit(g: Graph, k: int, builder: ThresholdBuilder) -> Circuit:
+def induced_clique_circuit(g: Graph, k: int) -> Circuit:
     """Circuit on one variable per vertex: does the chosen set contain a k-clique?
 
     Every clique extends to a maximal one, so it suffices to OR, over the
     maximal cliques of size >= k, a threshold-k circuit restricted to that
     clique's variables.  Constant 0 when no maximal clique is large enough.
     """
-    return SeparatorNetwork(g, "clique", builder, g.n, g.n, lambda b: b.var).circuit(k)
+    return SeparatorNetwork(g, "clique", g.n, g.n, lambda b: b.var).circuit(k)
 
 
-def monomial_clique_circuit(
-    g: Graph, idx: NonedgeIndex, k: int, builder: ThresholdBuilder
-) -> Circuit:
+def monomial_clique_circuit(g: Graph, idx: NonedgeIndex, k: int) -> Circuit:
     """Induced-k-clique circuit applied to the vertex monomials.
 
     Equivalent to the OR of monomials over k-cliques only, which is what the
     clique game needs: a clique ``b`` that shares no vertex with a clique
     ``c`` and satisfies the promise always kills every monomial.
     """
-    return _monomial_network(g, idx, "clique", builder).circuit(k)
+    return _monomial_network(g, idx, "clique").circuit(k)
 
 
 # --------------------------------------------------------------------------
@@ -354,6 +336,15 @@ class _Channel:
         return bits
 
 
+# The handshake of the clique-style games, one step per party in order:
+# sender, meaning of the 1-bit clique flag, meaning of the nonedge that
+# follows a "0" flag, and the kind of answer that nonedge is.
+_HANDSHAKE = (
+    ("A", "alice-clique-flag", "alice-nonedge", "within_a"),
+    ("B", "bob-clique-flag", "bob-nonedge", "within_b"),
+)
+
+
 def size_field_width(n: int) -> int:
     """Bits used to announce a set size in 0..n."""
     return n.bit_length()
@@ -386,46 +377,16 @@ def _decode_pair(bits: str, n: int) -> Pair:
 # the two party state machines
 
 
-def _threshold_builder(cfg: GameConfig) -> ThresholdBuilder:
-    # reads the settings now and holds no reference to ``cfg``, so a network
-    # cached in ``cfg.circuit_cache`` makes no reference cycle through it
-    cache = cfg.circuit_cache.setdefault("thresholds", {})
-    name, seed, depth_factor = cfg.builder, cfg.seed, cfg.depth_factor
-    retries, verify_budget = cfg.retries, cfg.verify_budget
-
-    def build(m: int, k: int) -> Circuit:
-        key = (name, m, k, seed, depth_factor)
-        circ = cache.get(key)
-        if circ is None:
-            if name == "sort":
-                circ = build_threshold_sort(m, k)
-            elif name == "valiant":
-                circ = build_threshold_valiant(
-                    m,
-                    k,
-                    seed=seed,
-                    depth_factor=depth_factor,
-                    retries=retries,
-                    verify_budget=verify_budget,
-                )
-            else:
-                raise ValueError(f"unknown threshold builder {name!r}")
-            cache[key] = circ
-        return circ
-
-    return build
-
-
 def _family(kind: GameKind) -> str:
     return "clique" if kind.name == "clique" else "threshold"
 
 
 def _game_network(g: Graph, idx: NonedgeIndex, kind: GameKind, cfg: GameConfig) -> SeparatorNetwork:
     family = _family(kind)
-    key = (g, family, cfg.builder, cfg.seed, cfg.depth_factor)
+    key = (g, family)
     net = cfg.circuit_cache.get(key)
     if net is None:
-        net = _monomial_network(g, idx, family, _threshold_builder(cfg))
+        net = _monomial_network(g, idx, family)
         cfg.circuit_cache[key] = net
     return net
 
@@ -499,12 +460,11 @@ class _Party:
         assert self.k is not None
         self.circuit = game_circuit(self.g, self.idx, self.kind, self.k, self.cfg)
         vec = self._vector()
-        cfg = self.cfg
-        key = (self.g, _family(self.kind), self.k, cfg.builder, cfg.seed, cfg.depth_factor, vec)
-        vals = cfg.eval_cache.get(key)
+        key = (self.g, _family(self.kind), self.k, vec)
+        vals = self.cfg.eval_cache.get(key)
         if vals is None:
             vals = node_values(self.circuit, vec)
-            cfg.eval_cache[key] = vals
+            self.cfg.eval_cache[key] = vals
         self.vals = vals
         self.cursor = self.circuit.output
         if self.vals[self.cursor] != self.target:
@@ -596,7 +556,6 @@ class Outcome:
     transcript: Transcript
     promise_verified: bool
     edge_bound: Optional[int]
-    builder: str
     seed: int
 
     def to_json_obj(self) -> dict:
@@ -606,7 +565,7 @@ class Outcome:
             "n": g.n,
             "a": sorted(g.labels[v] for v in self.a),
             "b": sorted(g.labels[v] for v in self.b),
-            "builder": self.builder,
+            "builder": "sort",
             "seed": self.seed,
             "entries": self.transcript.to_json_obj(),
             "total_bits": self.transcript.total_bits,
@@ -737,19 +696,13 @@ def play(
 
     kind_of_answer = None
     if kind.has_handshake:
-        flag = ch.send("A", alice.clique_flag(), "alice-clique-flag")
-        if flag == "0":
-            bits = ch.send("A", alice.own_nonedge_bits(), "alice-nonedge")
-            alice.accept_nonedge_bits(bits)
-            bob.accept_nonedge_bits(bits)
-            kind_of_answer = "within_a"
-        else:
-            flag = ch.send("B", bob.clique_flag(), "bob-clique-flag")
-            if flag == "0":
-                bits = ch.send("B", bob.own_nonedge_bits(), "bob-nonedge")
+        for party, (sender, flag, nonedge, within) in zip((alice, bob), _HANDSHAKE):
+            if ch.send(sender, party.clique_flag(), flag) == "0":
+                bits = ch.send(sender, party.own_nonedge_bits(), nonedge)
                 alice.accept_nonedge_bits(bits)
                 bob.accept_nonedge_bits(bits)
-                kind_of_answer = "within_b"
+                kind_of_answer = within
+                break
 
     if kind_of_answer is None:
         bits = ch.send("A", alice.size_bits(), "set-size")
@@ -788,7 +741,6 @@ def play(
         transcript=ch.transcript,
         promise_verified=promise_verified,
         edge_bound=edge_bound,
-        builder=cfg.builder,
         seed=cfg.seed,
     )
 
@@ -803,36 +755,47 @@ def replay_transcript(
 
     This is the referee's decoder: it sees neither party's set, only the
     bits, so it doubles as a check that the answer really is common
-    knowledge.
+    knowledge.  It accepts exactly what ``play`` can emit: entry i has
+    round i, and its sender and width follow from the game, n and, for a
+    descend bit, the op of the gate the walk stands at.  A handshake pair
+    must be a nonedge of ``g``.  Anything else raises ``ValueError``.
     """
     cfg = config if config is not None else GameConfig()
-    entries = list(transcript.entries if isinstance(transcript, Transcript) else transcript)
+    entries = transcript.entries if isinstance(transcript, Transcript) else list(transcript)
     pos = 0
 
-    def take(expected_meaning: str) -> TranscriptEntry:
+    def take(meaning: str, sender: str, width: int) -> str:
         nonlocal pos
-        if pos >= len(entries) or entries[pos].meaning != expected_meaning:
-            raise ValueError(f"transcript malformed at entry {pos + 1}")
-        entry = entries[pos]
+        if pos == len(entries):
+            raise ValueError(f"transcript ends where entry {pos + 1} ({meaning}) is due")
+        e = entries[pos]
         pos += 1
-        return entry
+        bad = e.round != pos or e.sender != sender or e.meaning != meaning
+        if bad or len(e.bits) != width or e.bits.strip("01"):
+            raise ValueError(
+                f"transcript malformed at entry {pos}: expected round {pos}, "
+                f"sender {sender} and {width} binary digit(s) of {meaning}"
+            )
+        return e.bits
 
     if kind.has_handshake:
-        if take("alice-clique-flag").bits == "0":
-            return _decode_pair(take("alice-nonedge").bits, g.n)
-        if take("bob-clique-flag").bits == "0":
-            return _decode_pair(take("bob-nonedge").bits, g.n)
-    k = int(take("set-size").bits, 2)
+        for sender, flag, nonedge, _ in _HANDSHAKE:
+            if take(flag, sender, 1) == "0":
+                pair = _decode_pair(take(nonedge, sender, 2 * vertex_field_width(g.n)), g.n)
+                if pair in g.edges:
+                    raise ValueError(f"handshake pair {pair} is an edge, not a nonedge")
+                if pos != len(entries):
+                    raise ValueError("transcript has trailing entries")
+                return pair
+    k = int(take("set-size", "A", size_field_width(g.n)), 2)
     idx = _nonedge_index(g, cfg)
     circ = game_circuit(g, idx, kind, k, cfg)
-    cur = circ.output
-    while circ.gates[cur][0] in (AND, OR):
-        bit = take("descend").bits
-        gate = circ.gates[cur]
-        cur = gate[1] if bit == "0" else gate[2]
+    gate = circ.gates[circ.output]
+    while gate[0] in (AND, OR):
+        bit = take("descend", "B" if gate[0] == AND else "A", 1)
+        gate = circ.gates[gate[1] if bit == "0" else gate[2]]
     if pos != len(entries):
         raise ValueError("transcript has trailing entries")
-    gate = circ.gates[cur]
     if gate[0] != VAR:
         raise CircuitInvariantError("transcript walks into a constant leaf")
     return idx.pair(gate[1])
@@ -841,14 +804,18 @@ def replay_transcript(
 def bit_bound(kind: GameKind, g: Graph, config: Optional[GameConfig] = None) -> int:
     """The protocol's own worst-case bit guarantee on this graph.
 
-    Handshake bits (2 for the clique-style games) plus the fixed-width size
-    announcement plus the depth of the deepest circuit the protocol could
-    traverse.  Computed from the actually constructed circuits (every k, so
-    later plays find them all built), so it is a checkable bound rather than
-    an asymptotic claim.
+    The maximum over the ways a play can end.  The circuit branch is the
+    fixed-width size announcement plus the depth of the deepest circuit the
+    protocol could traverse, after two clique flags in the clique-style
+    games; there the handshake branch, two flags and one vertex pair, is the
+    other way out.  Computed from the actually constructed circuits (every
+    k, so later plays find them all built), so it is a checkable bound
+    rather than an asymptotic claim.
     """
     cfg = config if config is not None else GameConfig()
     net = _game_network(g, _nonedge_index(g, cfg), kind, cfg)
-    handshake = 2 if kind.has_handshake else 0
-    depths = [net.circuit(k).depth for k in range(1, net.slots + 1)]
-    return handshake + size_field_width(g.n) + max(depths, default=0)
+    depth = max((net.circuit(k).depth for k in range(1, net.slots + 1)), default=0)
+    circuit_branch = size_field_width(g.n) + depth
+    if not kind.has_handshake:
+        return circuit_branch
+    return max(2 + 2 * vertex_field_width(g.n), 2 + circuit_branch)

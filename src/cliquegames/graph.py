@@ -335,12 +335,17 @@ def find_nonedge_within(g: Graph, s: Iterable[int]) -> Pair | None:
     return None
 
 
+# Memo entries per oracle: room for the whole 814-graph star-free n <= 5
+# catalog, so the suites over it compute each oracle once per graph.
+_ORACLE_CACHE_SIZE = 1024
+
+
 def _check_limit(g: Graph, limit: int, what: str) -> None:
     if g.n > limit:
         raise OracleLimitError(f"oracle limit: {what} supports n <= {limit}, got n = {g.n}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ORACLE_CACHE_SIZE)
 def _maximal_cliques_cached(g: Graph) -> tuple[tuple[int, ...], ...]:
     adj = g.adj
     found: list[int] = []
@@ -380,7 +385,7 @@ def maximal_cliques(g: Graph, max_count: int | None = None) -> list[tuple[int, .
     return list(cliques)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ORACLE_CACHE_SIZE)
 def max_clique_size(g: Graph, limit: int = 20) -> int:
     """Exact size of a maximum clique (single vertices count as cliques)."""
     _check_limit(g, limit, "max_clique_size")
@@ -410,7 +415,7 @@ def _common_neighbor_mask(g: Graph, m: int) -> int:
     return inter & ~m
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ORACLE_CACHE_SIZE)
 def max_biclique_size(g: Graph, limit: int = 16) -> int:
     """Exact maximum of |a| + |b| over bicliques (a, b).
 
@@ -429,7 +434,7 @@ def max_biclique_size(g: Graph, limit: int = 16) -> int:
     return best
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ORACLE_CACHE_SIZE)
 def max_edge_biclique(g: Graph, limit: int = 16) -> int:
     """Exact maximum of |a| * |b| over bicliques (a, b); 0 if there are none."""
     _check_limit(g, limit, "max_edge_biclique")

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from .circuit import evaluate_many
+from .circuit import build_threshold_sort, evaluate_many
 from .games import (
     BICLIQUE,
     CLIQUE,
@@ -23,7 +23,6 @@ from .games import (
     RELAXED_CLIQUE,
     GameConfig,
     GameKind,
-    _threshold_builder,
     bit_bound,
     game_circuit,
     incidence_vector,
@@ -364,12 +363,11 @@ def _suite_induced_clique(graphs, cfg: GameConfig, report: SuiteReport) -> None:
     input, and its depth stays within the OR-fanin + threshold budget."""
     for g in graphs:
         report.graphs_tested += 1
-        builder = _threshold_builder(cfg)
         mc = maximal_cliques(g)
         inputs = [tuple(m >> v & 1 for v in range(g.n)) for m in range(1 << g.n)]
         members = [[v for v in range(g.n) if m >> v & 1] for m in range(1 << g.n)]
         for k in range(1, g.n + 1):
-            circ = induced_clique_circuit(g, k, builder)
+            circ = induced_clique_circuit(g, k)
             got = evaluate_many(circ, inputs)
             report.inputs_tested += len(inputs)
             for m, value in enumerate(got):
@@ -389,7 +387,7 @@ def _suite_induced_clique(graphs, cfg: GameConfig, report: SuiteReport) -> None:
             depth_cap = 0
             if qualifying:
                 depth_cap = math.ceil(math.log2(len(mc))) + max(
-                    builder(len(c), k).depth for c in qualifying
+                    build_threshold_sort(len(c), k).depth for c in qualifying
                 )
             if circ.depth > depth_cap:
                 report.failures.append(
@@ -438,22 +436,12 @@ def _referee_play(
 
 def _make_game_suite(kind: GameKind):
     def run(graphs, cfg: GameConfig, report: SuiteReport) -> None:
-        # thresholds are graph-independent; one fresh config per graph keeps
-        # the per-vector eval cache bounded while sharing that memo
-        shared_thresholds = cfg.circuit_cache.setdefault("thresholds", {})
         for g in graphs:
             if kind.has_handshake and g.bipartition is not None:
                 continue
             report.graphs_tested += 1
-            graph_cfg = GameConfig(
-                builder=cfg.builder,
-                seed=cfg.seed,
-                depth_factor=cfg.depth_factor,
-                oracle_limit=cfg.oracle_limit,
-                retries=cfg.retries,
-                verify_budget=cfg.verify_budget,
-            )
-            graph_cfg.circuit_cache["thresholds"] = shared_thresholds
+            # one fresh config per graph keeps the per-vector eval cache bounded
+            graph_cfg = GameConfig(seed=cfg.seed, oracle_limit=cfg.oracle_limit)
             bound = bit_bound(kind, g, graph_cfg)
             report.bound = max(report.bound, bound)
             for vi in enumerate_valid_inputs(g, kind, graph_cfg):

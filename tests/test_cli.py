@@ -138,3 +138,15 @@ class TestExitCodes:
         monkeypatch.setenv("CLIQUEGAMES_OUTPUT", "text")
         assert main(["oracle", p4_file]) == 0
         assert capsys.readouterr().out.startswith("omega=")
+
+    def test_env_value_outside_choices_is_2(self, p4_file, capsys, monkeypatch):
+        monkeypatch.setenv("CLIQUEGAMES_OUTPUT", "xml")
+        assert main(["oracle", p4_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "CLIQUEGAMES_OUTPUT='xml'" in captured.err and "json, text" in captured.err
+
+    def test_removed_builder_flag_is_a_usage_error(self, p4_file):
+        with pytest.raises(SystemExit) as err:
+            main(["play", p4_file, "--game", "biclique", "--a", "1", "--b", "3", "--builder", "x"])
+        assert err.value.code == 2

@@ -1,13 +1,17 @@
+import dataclasses
 import itertools
 import json
 import random
 
 import pytest
 
+import cliquegames.games as games_module
 from cliquegames.circuit import (
+    CONST,
+    Circuit,
     CircuitBuilder,
+    CircuitInvariantError,
     build_threshold_sort,
-    build_threshold_valiant,
     evaluate,
     serialize_circuit,
 )
@@ -21,6 +25,7 @@ from cliquegames.games import (
     PromiseViolationError,
     SeparationError,
     Transcript,
+    TranscriptEntry,
     bit_bound,
     find_separating_variable,
     game_circuit,
@@ -41,7 +46,6 @@ from cliquegames.games import (
     _Channel,
     _decode_pair,
     _encode_pair,
-    _threshold_builder,
     monomial_universe,
 )
 from cliquegames.graph import graph_from_edges, max_clique_size, nonedges, strip_stars
@@ -50,6 +54,7 @@ from cliquegames.harness import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    enumerate_valid_inputs,
     path_graph,
     random_graph,
 )
@@ -104,13 +109,13 @@ class TestVectors:
 class TestSeparatorCircuits:
     def test_p4_monomials(self, p4):
         idx = nonedges(p4)
-        circ = monomial_threshold_circuit(p4, idx, 2, build_threshold_sort)
+        circ = monomial_threshold_circuit(p4, idx, 2)
         assert evaluate(circ, incidence_vector(idx, {0, 1})) == 1
         assert evaluate(circ, non_incidence_vector(idx, {2, 3})) == 0
 
     def test_k1_is_disjunction(self, p4):
         idx = nonedges(p4)
-        circ = monomial_threshold_circuit(p4, idx, 1, build_threshold_sort)
+        circ = monomial_threshold_circuit(p4, idx, 1)
         assert evaluate(circ, (1, 1, 1)) == 1
         assert evaluate(circ, (0, 0, 0)) == 0
 
@@ -121,7 +126,7 @@ class TestSeparatorCircuits:
             from cliquegames.games import monomial_universe
 
             for k in range(1, len(monomial_universe(g)) + 1):
-                circ = monomial_threshold_circuit(g, idx, k, build_threshold_sort)
+                circ = monomial_threshold_circuit(g, idx, k)
                 for m in range(1 << len(idx)):
                     bits = tuple(m >> i & 1 for i in range(len(idx)))
                     assert evaluate(circ, bits) == brute_separator_value(
@@ -132,7 +137,7 @@ class TestSeparatorCircuits:
         for g in [path_graph(4), cycle_graph(5), cycle_graph(4)]:
             idx = nonedges(g)
             for k in range(1, g.n + 1):
-                circ = monomial_clique_circuit(g, idx, k, build_threshold_sort)
+                circ = monomial_clique_circuit(g, idx, k)
                 for m in range(1 << len(idx)):
                     bits = tuple(m >> i & 1 for i in range(len(idx)))
                     assert evaluate(circ, bits) == brute_separator_value(
@@ -145,7 +150,7 @@ class TestSeparatorCircuits:
         )
         idx = nonedges(g)
         for k in (1, 2, 3):
-            circ = monomial_threshold_circuit(g, idx, k, build_threshold_sort)
+            circ = monomial_threshold_circuit(g, idx, k)
             for m in range(1 << len(idx)):
                 bits = tuple(m >> i & 1 for i in range(len(idx)))
                 assert evaluate(circ, bits) == brute_separator_value(
@@ -154,29 +159,30 @@ class TestSeparatorCircuits:
 
     def test_clique_circuit_example(self, c5):
         idx = nonedges(c5)
-        circ = monomial_clique_circuit(c5, idx, 2, build_threshold_sort)
+        circ = monomial_clique_circuit(c5, idx, 2)
         assert evaluate(circ, incidence_vector(idx, {0, 1})) == 1
         assert evaluate(circ, non_incidence_vector(idx, {3})) == 0
 
     def test_no_k_clique_gives_constant_zero(self, c5):
         idx = nonedges(c5)
-        circ = monomial_clique_circuit(c5, idx, 3, build_threshold_sort)
+        circ = monomial_clique_circuit(c5, idx, 3)
         assert circ.size == 0
         assert evaluate(circ, (1,) * len(idx)) == 0
 
     def test_rejects_starred_graph(self):
         star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
         with pytest.raises(ValueError, match="strip"):
-            monomial_threshold_circuit(star, nonedges(star), 1, build_threshold_sort)
+            monomial_threshold_circuit(star, nonedges(star), 1)
 
 
-def _assert_matches_reference(g, cfg, threshold, kinds=(BICLIQUE, CLIQUE)):
+def _assert_matches_reference(g, cfg):
     idx = nonedges(g)
-    for kind in kinds:
+    for kind in (BICLIQUE, CLIQUE):
         family = "clique" if kind == CLIQUE else "threshold"
         for k in range(1, g.n + 1):
             try:
-                want = serialize_circuit(reference_game_circuit(g, idx, family, k, threshold))
+                ref = reference_game_circuit(g, idx, family, k, build_threshold_sort)
+                want = serialize_circuit(ref)
             except ValueError:
                 with pytest.raises(ValueError):
                     game_circuit(g, idx, kind, k, cfg)
@@ -191,37 +197,21 @@ class TestSharedNetwork:
 
     def test_matches_per_k_reference_on_catalog(self):
         for g in catalog_all_graphs(5):
-            _assert_matches_reference(g, GameConfig(), build_threshold_sort)
+            _assert_matches_reference(g, GameConfig())
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_matches_per_k_reference_on_random_graphs(self, n):
         g, _ = strip_stars(random_graph(n, 0.5, random.Random(n)))
-        _assert_matches_reference(g, GameConfig(), build_threshold_sort)
+        _assert_matches_reference(g, GameConfig())
 
     def test_matches_per_k_reference_on_bipartite_graph(self):
         # vertex 1 is adjacent to the whole second part: a constant-1 monomial
         g = graph_from_edges(
             5, [(0, 3), (1, 3), (1, 4), (2, 4)], bipartition=({0, 1, 2}, {3, 4})
         )
-        _assert_matches_reference(g, GameConfig(), build_threshold_sort)
+        _assert_matches_reference(g, GameConfig())
         with pytest.raises(ValueError, match="full nonedge space"):
             game_circuit(g, nonedges(g), CLIQUE, 1, GameConfig())
-
-    def test_valiant_builder_is_used(self, p4, c5):
-        cfg = GameConfig(builder="valiant", seed=3)
-
-        def valiant(m, k):
-            return build_threshold_valiant(m, k, seed=3, depth_factor=cfg.depth_factor)
-
-        differs = False
-        for g in (p4, c5):
-            _assert_matches_reference(g, cfg, valiant)
-            idx = nonedges(g)
-            for k in range(1, g.n + 1):
-                differs |= serialize_circuit(game_circuit(g, idx, BICLIQUE, k, cfg)) != (
-                    serialize_circuit(game_circuit(g, idx, BICLIQUE, k, GameConfig()))
-                )
-        assert differs
 
     def test_each_monomial_built_once(self, monkeypatch):
         g, _ = strip_stars(random_graph(32, 0.5, random.Random(32)))
@@ -243,7 +233,7 @@ class TestSharedNetwork:
         cfg = GameConfig()
         idx = nonedges(p4)
         game_circuit(p4, idx, BICLIQUE, 1, cfg)
-        (net,) = [v for key, v in cfg.circuit_cache.items() if key != "thresholds" and key[0] == p4]
+        (net,) = [v for key, v in cfg.circuit_cache.items() if key[0] == p4]
         assert net._builder is not None
         bit_bound(BICLIQUE, p4, cfg)
         assert net._builder is None and sorted(net.circuits) == [1, 2, 3, 4]
@@ -252,24 +242,24 @@ class TestSharedNetwork:
         cfg = GameConfig()
         play(BICLIQUE, p4, {0, 1}, {2, 3}, cfg)
         for key in cfg.eval_cache:
-            assert key[0] == p4 and key[1] == "threshold" and key[2] == 2
-            assert len(key[-1]) == len(nonedges(p4))
+            assert len(key) == 4 and key[:3] == (p4, "threshold", 2)
+            assert len(key[3]) == len(nonedges(p4))
 
 
 class TestInducedCliqueCircuit:
     def test_c5_edge_level(self, c5):
-        circ = induced_clique_circuit(c5, 2, build_threshold_sort)
+        circ = induced_clique_circuit(c5, 2)
         assert evaluate(circ, (1, 1, 0, 0, 0)) == 1
         assert evaluate(circ, (1, 0, 1, 0, 0)) == 0
 
     def test_c5_no_triangle(self, c5):
-        circ = induced_clique_circuit(c5, 3, build_threshold_sort)
+        circ = induced_clique_circuit(c5, 3)
         assert all(
             evaluate(circ, tuple(m >> v & 1 for v in range(5))) == 0 for m in range(32)
         )
 
     def test_complete_graph(self):
-        circ = induced_clique_circuit(complete_graph(4), 4, build_threshold_sort)
+        circ = induced_clique_circuit(complete_graph(4), 4)
         assert evaluate(circ, (1, 1, 1, 1)) == 1
         assert evaluate(circ, (1, 1, 1, 0)) == 0
 
@@ -589,16 +579,112 @@ class TestReplay:
             replay_transcript(p4, BICLIQUE, out.transcript.entries[:-1] * 2)
 
 
+    def test_replay_rejects_sender_swap_onto_an_edge(self, c5):
+        # the alice-nonedge entry re-sent by Bob, naming the edge (0, 1)
+        entries = list(play(CLIQUE, c5, {0, 2}, {4}).transcript.entries)
+        entries[1] = TranscriptEntry(2, "B", "000001", "alice-nonedge")
+        with pytest.raises(ValueError, match="sender A"):
+            replay_transcript(c5, CLIQUE, entries)
+        entries[1] = TranscriptEntry(2, "A", "000001", "alice-nonedge")
+        with pytest.raises(ValueError, match="is an edge"):
+            replay_transcript(c5, CLIQUE, entries)
+
+    def test_replay_rejects_widened_set_size(self, p4):
+        entries = list(play(BICLIQUE, p4, {0, 1}, {2, 3}).transcript.entries)
+        size = entries[0]
+        assert size.meaning == "set-size"
+        entries[0] = dataclasses.replace(size, bits="0" + size.bits)
+        with pytest.raises(ValueError, match="3 binary digit"):
+            replay_transcript(p4, BICLIQUE, entries)
+
+    def test_replay_rejects_non_binary_digits(self, p4):
+        # int(" 10", 2) == 2 would read the genuine size from a forged field
+        entries = list(play(BICLIQUE, p4, {0, 1}, {2, 3}).transcript.entries)
+        assert entries[0].bits == "010"
+        entries[0] = dataclasses.replace(entries[0], bits=" 10")
+        with pytest.raises(ValueError, match="binary digit"):
+            replay_transcript(p4, BICLIQUE, entries)
+
+    def test_replay_rejects_two_digit_descend(self, p4):
+        entries = list(play(BICLIQUE, p4, {0, 1}, {2, 3}).transcript.entries)
+        assert entries[1].meaning == "descend"
+        entries[1] = dataclasses.replace(entries[1], bits="00")
+        with pytest.raises(ValueError, match="malformed at entry 2"):
+            replay_transcript(p4, BICLIQUE, entries)
+
+    def test_replay_rejects_relabelled_sender(self, p4):
+        entries = list(play(BICLIQUE, p4, {0, 1}, {2, 3}).transcript.entries)
+        for i, e in enumerate(entries):
+            forged = list(entries)
+            forged[i] = dataclasses.replace(e, sender="B" if e.sender == "A" else "A")
+            with pytest.raises(ValueError, match=f"malformed at entry {i + 1}"):
+                replay_transcript(p4, BICLIQUE, forged)
+
+    def test_replay_rejects_wrong_round(self, c5):
+        entries = list(play(CLIQUE, c5, {0, 1}, {3}).transcript.entries)
+        entries[-1] = dataclasses.replace(entries[-1], round=entries[-1].round + 1)
+        with pytest.raises(ValueError, match="expected round"):
+            replay_transcript(c5, CLIQUE, entries)
+
+    def test_replay_rejects_trailing_entry_after_handshake(self, c5):
+        entries = list(play(CLIQUE, c5, {0, 2}, {4}).transcript.entries)
+        entries.append(TranscriptEntry(3, "A", "011", "set-size"))
+        with pytest.raises(ValueError, match="trailing"):
+            replay_transcript(c5, CLIQUE, entries)
+
+
+def _mutations(entries: list, rng: random.Random) -> list[list]:
+    """One corruption of each kind at a seeded entry of a genuine transcript."""
+    i = rng.randrange(len(entries))
+    e = entries[i]
+    j = rng.randrange(len(e.bits))
+
+    def put(**changes):
+        out = list(entries)
+        out[i] = dataclasses.replace(e, **changes)
+        return out
+
+    def renumbered(es):
+        return [dataclasses.replace(x, round=r) for r, x in enumerate(es, 1)]
+
+    return [
+        put(bits=e.bits[:j] + "10"[int(e.bits[j])] + e.bits[j + 1 :]),
+        put(bits=e.bits + rng.choice("01")),
+        put(bits=e.bits[:-1]),
+        put(sender="B" if e.sender == "A" else "A"),
+        renumbered(entries[:i] + entries[i + 1 :]),
+        renumbered(entries[: i + 1] + entries[i:]),
+    ]
+
+
+def test_mutated_transcripts_never_replay_to_an_edge():
+    rng = random.Random(20240)
+    accepted = rejected = 0
+    for g in catalog_all_graphs(4):
+        for kind in (BICLIQUE, CLIQUE, RELAXED_CLIQUE, EDGE_BICLIQUE):
+            cfg = GameConfig()
+            for vi in enumerate_valid_inputs(g, kind, cfg):
+                entries = play(kind, g, vi.a, vi.b, cfg).transcript.entries
+                for forged in _mutations(entries, rng):
+                    try:
+                        u, v = replay_transcript(g, kind, forged, cfg)
+                    except (ValueError, CircuitInvariantError):
+                        rejected += 1
+                        continue
+                    assert 0 <= u < v < g.n and (u, v) not in g.edges, (g.edges, kind, forged)
+                    accepted += 1
+    assert accepted and rejected
+
+
 class TestBitBound:
-    def test_covers_played_bits_both_builders(self, p4):
-        for builder in ("sort", "valiant"):
-            cfg = GameConfig(builder=builder, seed=4)
-            bound = bit_bound(BICLIQUE, p4, cfg)
-            for a_mask in range(1, 15):
-                a = frozenset(v for v in range(4) if a_mask >> v & 1)
-                b = frozenset(range(4)) - a
-                out = play(BICLIQUE, p4, a, b, cfg)
-                assert out.transcript.total_bits <= bound
+    def test_covers_played_bits(self, p4):
+        cfg = GameConfig(seed=4)
+        bound = bit_bound(BICLIQUE, p4, cfg)
+        for a_mask in range(1, 15):
+            a = frozenset(v for v in range(4) if a_mask >> v & 1)
+            b = frozenset(range(4)) - a
+            out = play(BICLIQUE, p4, a, b, cfg)
+            assert out.transcript.total_bits <= bound
 
     def test_single_variable_case(self):
         g = graph_from_edges(2, [])
@@ -611,3 +697,16 @@ class TestBitBound:
         assert bit_bound(CLIQUE, c5, cfg) >= 2 + size_field_width(5)
         out = play(CLIQUE, c5, {0, 1}, {3}, cfg)
         assert out.transcript.total_bits <= bit_bound(CLIQUE, c5, cfg)
+
+    def test_covers_bob_nonedge_exit(self, c5, monkeypatch):
+        # with every threshold folded to constant 0 each circuit has depth 0,
+        # so only the handshake branch covers a play ending in Bob's nonedge
+        monkeypatch.setattr(
+            games_module, "build_threshold_sort", lambda m, k: Circuit(((CONST, 0),), 0, m)
+        )
+        cfg = GameConfig()
+        out = play(CLIQUE, c5, {4}, {0, 2}, cfg)
+        assert out.kind_of_answer == "within_b"
+        assert out.transcript.total_bits == 2 + 2 * vertex_field_width(5)
+        assert bit_bound(CLIQUE, c5, cfg) == out.transcript.total_bits
+        assert bit_bound(BICLIQUE, c5, cfg) == size_field_width(5)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import cliquegames.graph as graph_module
 from cliquegames.graph import (
     Graph,
     GraphParseError,
@@ -279,6 +280,18 @@ class TestOracles:
             max_edge_biclique(path_graph(17))
         with pytest.raises(OracleLimitError, match="maximal cliques"):
             maximal_cliques(cycle_graph(9), max_count=2)
+
+    def test_caches_are_bounded(self):
+        for oracle in (
+            graph_module._maximal_cliques_cached,
+            max_clique_size,
+            max_biclique_size,
+            max_edge_biclique,
+        ):
+            info = oracle.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize
+        # the whole n <= 5 catalog fits, so suites over it compute each oracle once
+        assert len(catalog_all_graphs(5)) <= graph_module._ORACLE_CACHE_SIZE
 
 
 class TestFindNonedgeWithin:

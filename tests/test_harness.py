@@ -112,13 +112,6 @@ class TestSuites:
         assert report.max_bits_observed == 7
         assert report.bound == 7
 
-    def test_valiant_builder_small_catalog(self):
-        cfg = GameConfig(builder="valiant", seed=6)
-        graphs = catalog_all_graphs(4)[:12] + catalog_named(5)
-        for name in SUITE_NAMES:
-            report = run_suite(name, graphs, cfg)
-            assert report.passed, (name, report.failures[:2])
-
     def test_bipartite_graphs_skipped_by_clique_suites(self):
         bip = complete_bipartite_graph(2, 2, declared=True)
         report = run_suite("game-clique", [bip])
