@@ -295,11 +295,13 @@ class CircuitBuilder:
                         stack.append(child)
         return keep
 
-    def build(self, output: int) -> Circuit:
+    def build(self, output: int, ids: list[int] | None = None) -> Circuit:
         """Finalize: prune nodes unreachable from ``output`` and renumber.
 
         Renumbering keeps the builder's order, so when the kept nodes start
         with 0, 1, ..., lead - 1 those keep their ids and their gates as is.
+        If ``ids`` is given, each node id in it is replaced, in place, by
+        the id that node got in the result, or -1 where it was pruned.
         """
         order = sorted(self._cone(output, self._shared))
         lead = bisect_left(range(len(order)), True, key=lambda i: order[i] != i)
@@ -319,6 +321,8 @@ class CircuitBuilder:
             else:
                 gates.append(gate)
         out = output if output < lead else renum[output]
+        if ids is not None:
+            ids[:] = [node if node < lead else renum.get(node, -1) for node in ids]
         return Circuit(gates=tuple(gates), output=out, var_count=self.var_count)
 
 
@@ -508,34 +512,49 @@ def serialize_circuit(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _canonical_int(tok: str, ln: int) -> int:
+    """A nonnegative integer written the way ``serialize_circuit`` writes it."""
+    if not (tok.isascii() and tok.isdigit()) or (tok[0] == "0" and len(tok) > 1):
+        raise ValueError(f"line {ln}: {tok!r} is not a plain nonnegative integer")
+    return int(tok)
+
+
 def parse_circuit(text: str, var_count: int | None = None) -> Circuit:
-    """Inverse of ``serialize_circuit``; infers var_count unless given."""
+    """Inverse of ``serialize_circuit``; infers var_count unless given.
+
+    Accepts exactly the text ``serialize_circuit`` emits: one node per line
+    with single spaces and plain decimal numbers, the ``OUTPUT`` line last,
+    and a final newline.  Anything else raises ``ValueError``, so a parsed
+    circuit always serializes back to the text it came from.
+    """
+    if not text.endswith("\n"):
+        raise ValueError("circuit text must end with a newline (missing OUTPUT line?)")
     gates: list[Gate] = []
     output: int | None = None
     max_var = -1
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        tok = line.split()
+    for ln, line in enumerate(text[:-1].split("\n"), 1):
+        if output is not None:
+            raise ValueError(f"line {ln}: nothing may follow the OUTPUT line")
+        tok = line.split(" ")
         if tok[0] == "OUTPUT":
-            if len(tok) != 2 or output is not None:
+            if len(tok) != 2:
                 raise ValueError(f"line {ln}: malformed OUTPUT line")
-            output = int(tok[1])
+            output = _canonical_int(tok[1], ln)
             continue
-        if len(tok) < 3 or int(tok[0]) != len(gates):
+        if len(tok) < 3 or _canonical_int(tok[0], ln) != len(gates):
             raise ValueError(f"line {ln}: node ids must be dense and in order")
         op = tok[1]
-        if op == VAR:
-            idx = int(tok[2])
-            max_var = max(max_var, idx)
-            gates.append((VAR, idx))
-        elif op == CONST:
-            gates.append((CONST, int(tok[2])))
+        if op in (VAR, CONST):
+            if len(tok) != 3:
+                raise ValueError(f"line {ln}: {op} takes one argument")
+            arg = _canonical_int(tok[2], ln)
+            if op == VAR:
+                max_var = max(max_var, arg)
+            gates.append((op, arg))
         elif op in (AND, OR):
             if len(tok) != 4:
                 raise ValueError(f"line {ln}: {op} takes two children")
-            gates.append((op, int(tok[2]), int(tok[3])))
+            gates.append((op, _canonical_int(tok[2], ln), _canonical_int(tok[3], ln)))
         else:
             raise ValueError(f"line {ln}: unknown op {op!r}")
     if output is None:

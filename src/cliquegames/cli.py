@@ -20,6 +20,7 @@ from .games import (
     bit_bound,
     game_circuit,
     kind_from_name,
+    monomial_universe,
     play,
 )
 from .graph import (
@@ -98,6 +99,8 @@ def _load_graph(path: str) -> Graph:
             text = fh.read()
     except OSError as exc:
         raise GraphParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     return parse_graph(text)
 
 
@@ -122,15 +125,18 @@ def _parse_vertex_list(raw: str, g: Graph, removed_labels: frozenset, flag: str)
                 f"{flag}: vertex {label} was removed by star stripping"
             )
         if label not in g.label_to_id:
-            raise ValueError(f"{flag}: unknown vertex label {label}")
+            raise UsageError(f"{flag}: unknown vertex label {label}")
         ids.add(g.label_to_id[label])
     return frozenset(ids)
 
 
 def _game_kind(args) -> GameKind:
     edge_bound = getattr(args, "edge_bound", None)
-    if args.game != "edge-biclique" and edge_bound is not None:
-        raise ValueError("--edge-bound only applies to the edge-biclique game")
+    if edge_bound is not None:
+        if args.game != "edge-biclique":
+            raise UsageError("--edge-bound only applies to the edge-biclique game")
+        if edge_bound < 0:
+            raise UsageError(f"--edge-bound: {edge_bound} is negative")
     return kind_from_name(args.game, edge_bound)
 
 
@@ -152,6 +158,9 @@ def _cmd_build_circuit(args) -> int:
     g, _ = _load_stripped(args.file)
     kind = _game_kind(args)
     cfg = _config(args)
+    slots = g.n if kind.name == "clique" else len(monomial_universe(g))
+    if not 1 <= args.k <= slots:
+        raise UsageError(f"--k: {args.k} is outside 1..{slots}")
     circ = game_circuit(g, nonedges(g), kind, args.k, cfg)
     text = serialize_circuit(circ)
     if args.output == "json":
@@ -194,6 +203,8 @@ def _cmd_play(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.n_max < 2:
+        raise UsageError(f"--n-max: {args.n_max} is below 2, so no graph would be checked")
     cfg = _config(args)
     graphs = catalog_all_graphs(args.n_max)
     suites = list(SUITE_NAMES) if args.suite == "all" else [args.suite]

@@ -113,19 +113,20 @@ def kind_from_name(name: str, edge_bound: Optional[int] = None) -> GameKind:
 
 @dataclass
 class GameConfig:
-    """Settings shared by play and the harness, plus per-graph memo tables.
+    """Settings shared by play and the harness, plus a per-graph memo table.
 
     ``seed`` is only recorded in the output: every circuit is the
-    deterministic sorting-network construction.  The cache dicts are pure
-    memoization keyed on immutable inputs; sharing a config across plays of
-    the same graph avoids rebuilding circuits and re-evaluating repeated
-    vectors.
+    deterministic sorting-network construction.  ``circuit_cache`` is pure
+    memoization keyed on immutable inputs (the graph, and the circuit
+    family): sharing a config across plays of the same graph avoids
+    rebuilding its nonedge index and its separator networks.  Node values
+    are never cached; a play computes the few it reads from the two sets
+    (see ``_Party``).
     """
 
     seed: int = 0
     oracle_limit: int = 16
     circuit_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    eval_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _set_mask(s: Iterable[int]) -> int:
@@ -157,15 +158,20 @@ def relaxed_non_incidence_vector(
     result is pointwise <= the plain vector.
     """
     bm = _set_mask(b)
-    if not bm:
-        raise ValueError("relaxed vector requires a nonempty set")
-    gm = _set_mask(common_neighbors(g, b))
+    gm = _common_neighbor_mask(g, b)
     out = []
     for u, v in idx.pairs:
         touches_b = (bm >> u & 1) or (bm >> v & 1)
         spanned = (gm >> u & 1) and (gm >> v & 1)
         out.append(0 if touches_b or spanned else 1)
     return tuple(out)
+
+
+def _common_neighbor_mask(g: Graph, b: Iterable[int]) -> int:
+    """Mask of Γ(b): the endpoints of the nonedges Bob's relaxed vector also zeroes."""
+    if not _set_mask(b):
+        raise ValueError("relaxed vector requires a nonempty set")
+    return _set_mask(common_neighbors(g, b))
 
 
 def monomial_universe(g: Graph) -> list[int]:
@@ -206,6 +212,15 @@ class SeparatorNetwork:
     that k alone.
     Once every k has been built the builder is dropped, so a finished
     network holds only its circuits.
+
+    A network over vertex monomials also gets ``vertices``, the vertex of
+    each slot, and records for ``_Party`` the id of each slot's monomial in
+    each k's circuit: ``roots[k][i]``, -1 where pruned.  Those ids split the
+    circuit in two layers.  Only graft gates refer to monomial-tree nodes,
+    and only to roots; each root is the largest id in its own tree and
+    renumbering keeps the order, so the ids up to the largest root are
+    exactly the kept monomial-tree nodes, and every id above is graft.  A
+    threshold circuit keeps every slot, so all its k share one tuple.
     """
 
     def __init__(
@@ -215,11 +230,15 @@ class SeparatorNetwork:
         slots: int,
         var_count: int,
         leaves: Callable[[CircuitBuilder], Callable[[int], int]],
+        vertices: Sequence[int] = (),
     ):
         self.g = g
         self.family = family
         self.slots = slots
+        self.vertices = vertices
         self.circuits: dict[int, Circuit] = {}
+        self.roots: list[tuple[int, ...] | None] = [None] * (slots + 1)
+        self._masks: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self._builder = CircuitBuilder(var_count)
         self._leaves = leaves
         self._leaf: Callable[[int], int] | None = None
@@ -245,10 +264,29 @@ class SeparatorNetwork:
                 out = b.const(0)
         else:
             out = b.graft(build_threshold_sort(self.slots, k), [leaf(i) for i in range(self.slots)])
-        circ = self.circuits[k] = b.build(out)
+        # no roots over plain variables, where asking for a leaf creates one
+        ids = [leaf(i) for i in range(len(self.vertices))]
+        circ = self.circuits[k] = b.build(out, ids)
+        roots = tuple(ids)
+        # one shared tuple while consecutive k keep the same slots
+        self.roots[k] = self.roots[k - 1] if roots == self.roots[k - 1] else roots
         if len(self.circuits) == self.slots:
             self._builder = self._leaves = self._leaf = None
         return circ
+
+    def monomial_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per slot, the bit of its vertex and the mask of its nonedge partners.
+
+        Built on the first call: only plays need them, and networks that
+        only serve circuits (the separator suites) never pay for them.
+        """
+        if self._masks is None:
+            g = self.g
+            # nonedges run between any two vertices, or across the parts
+            space = g.full_mask if g.bipartition is None else _set_mask(g.bipartition[1])
+            bits = tuple(1 << v for v in self.vertices)
+            self._masks = bits, tuple(space & ~g.adj[v] & ~bit for v, bit in zip(self.vertices, bits))
+        return self._masks
 
 
 def _monomial_network(g: Graph, idx: NonedgeIndex, family: str) -> SeparatorNetwork:
@@ -262,7 +300,12 @@ def _monomial_network(g: Graph, idx: NonedgeIndex, family: str) -> SeparatorNetw
         raise ValueError("clique games need the full nonedge space; drop the bipartition")
     universe = range(g.n) if family == "clique" else monomial_universe(g)
     return SeparatorNetwork(
-        g, family, len(universe), len(idx), lambda b: _vertex_monomials(b, g, idx, universe).__getitem__
+        g,
+        family,
+        len(universe),
+        len(idx),
+        lambda b: _vertex_monomials(b, g, idx, universe).__getitem__,
+        universe,
     )
 
 
@@ -413,6 +456,14 @@ class _Party:
     stays 0 on his).  Preference goes to the left child, and a bit is sent
     even when the choice is forced, so both cursors advance in lockstep from
     the transcript alone.
+
+    A party never builds its vector over the nonedges.  Every node is an
+    AND or OR of variables, and a party's value on a variable, or on the
+    AND of all variables at one vertex, follows from its own set mask and
+    that vertex's nonedge-partner mask (``_holds``).  So ``prepare`` sets
+    the slot roots from the masks and evaluates the gates above them in
+    one flat pass; the monomial-tree nodes below the roots are evaluated
+    only when the walk reads them (``_value``).
     """
 
     def __init__(self, role: str, g: Graph, idx: NonedgeIndex, own: frozenset, kind: GameKind, cfg: GameConfig):
@@ -425,7 +476,9 @@ class _Party:
         self.cfg = cfg
         self.k: int | None = None
         self.circuit: Circuit | None = None
-        self.vals: list[int] | None = None
+        self.mask = 0
+        self.gamma = 0
+        self.vals: list[int | None] | None = None
         self.cursor: int | None = None
         self.answer: Pair | None = None
 
@@ -449,30 +502,65 @@ class _Party:
         self.k = int(bits, 2)
 
     # traversal ---------------------------------------------------------
-    def _vector(self) -> tuple[int, ...]:
+    def _holds(self, bit: int, partners: int) -> int:
+        """This party's value of the AND over the nonedges from ``bit`` to ``partners``.
+
+        ``bit`` is one vertex's bit.  With all its nonedge partners this is
+        the vertex monomial (constant 1 when there are none); with one
+        partner it is that nonedge's variable.
+        """
+        m = self.mask
         if self.role == "A":
-            return incidence_vector(self.idx, self.own)
-        if self.kind.name == "relaxed-clique":
-            return relaxed_non_incidence_vector(self.g, self.idx, self.own)
-        return non_incidence_vector(self.idx, self.own)
+            # Alice's vector is 1 exactly on the nonedges touching a
+            return 1 if m & bit or not partners & ~m else 0
+        # Bob's is 0 on the nonedges touching b, and in the relaxed game
+        # also on those with both endpoints in Γ(b)
+        gm = self.gamma
+        return 0 if partners and (m & bit or partners & m or (gm & bit and partners & gm)) else 1
 
     def prepare(self) -> None:
         assert self.k is not None
-        self.circuit = game_circuit(self.g, self.idx, self.kind, self.k, self.cfg)
-        vec = self._vector()
-        key = (self.g, _family(self.kind), self.k, vec)
-        vals = self.cfg.eval_cache.get(key)
-        if vals is None:
-            vals = node_values(self.circuit, vec)
-            self.cfg.eval_cache[key] = vals
-        self.vals = vals
-        self.cursor = self.circuit.output
-        if self.vals[self.cursor] != self.target:
+        net = _game_network(self.g, self.idx, self.kind, self.cfg)
+        circ = self.circuit = net.circuit(self.k)
+        self.mask = _set_mask(self.own)
+        if self.role == "B" and self.kind.name == "relaxed-clique":
+            self.gamma = _common_neighbor_mask(self.g, self.own)
+        roots = net.roots[self.k]
+        gates = circ.gates
+        vals = self.vals = [None] * len(gates)
+        for node, bit, partners in zip(roots, *net.monomial_masks()):
+            if node >= 0:
+                vals[node] = self._holds(bit, partners)
+        for i in range(max(roots) + 1, len(gates)):
+            gate = gates[i]
+            op = gate[0]
+            if op == AND:
+                vals[i] = vals[gate[1]] & vals[gate[2]]
+            elif op == OR:
+                vals[i] = vals[gate[1]] | vals[gate[2]]
+            else:  # a constant: every variable sits in the monomial trees
+                vals[i] = gate[1]
+        self.cursor = circ.output
+        value = self._value(self.cursor)
+        if value != self.target:
             side = "first" if self.role == "A" else "second"
             raise SeparationError(
                 f"separation failure: the {side} party's vector evaluates to "
-                f"{self.vals[self.cursor]}, expected {self.target}"
+                f"{value}, expected {self.target}"
             )
+
+    def _value(self, node: int) -> int:
+        val = self.vals[node]
+        if val is None:
+            # a node of a monomial tree below the slot roots
+            gate = self.circuit.gates[node]
+            if gate[0] == VAR:
+                u, v = self.idx.pairs[gate[1]]
+                val = self._holds(1 << u, 1 << v)
+            else:
+                val = self._value(gate[1]) and self._value(gate[2])
+            self.vals[node] = val
+        return val
 
     def at_gate(self) -> bool:
         return self.circuit.gates[self.cursor][0] in (AND, OR)
@@ -482,14 +570,14 @@ class _Party:
 
     def descend_bit(self) -> str:
         gate = self.circuit.gates[self.cursor]
-        return "0" if self.vals[gate[1]] == self.target else "1"
+        return "0" if self._value(gate[1]) == self.target else "1"
 
     def apply_descend(self, bit: str) -> None:
         # the choosing party preserves its own invariant; the other party's
         # follows from gate semantics, so this must hold on every step
         gate = self.circuit.gates[self.cursor]
         self.cursor = gate[1] if bit == "0" else gate[2]
-        if self.vals[self.cursor] != self.target:
+        if self._value(self.cursor) != self.target:
             raise CircuitInvariantError("traversal invariant broke; circuit rules are wrong")
 
     def leaf_nonedge(self) -> Pair:

@@ -2,10 +2,18 @@
 
 Everything here enumerates definitions directly (subsets, disjoint pairs),
 deliberately sharing no code path with the implementations under test.
+The two exceptions are references for a construction or an evaluation
+that the package does differently: ``reference_game_circuit`` (the per-k
+circuit) and ``FullVectorParty`` (the whole-vector node evaluation), which
+say what they share.
 """
 
+import contextlib
 import itertools
+from unittest import mock
 
+from cliquegames import games
+from cliquegames.circuit import node_values
 from cliquegames.graph import Graph
 
 
@@ -163,3 +171,59 @@ def reference_game_circuit(g: Graph, idx, family: str, k: int, threshold):
     else:
         out = inner.const(0)
     return b.build(b.graft(inner.build(out), monomials))
+
+
+def brute_party_vector(g: Graph, idx, kind_name: str, role: str, own) -> tuple:
+    """A party's whole vector over the nonedges, straight from the definitions.
+
+    Alice's is 1 exactly on nonedges touching her set; Bob's is 0 exactly on
+    nonedges touching his set and, in the relaxed game, also on nonedges
+    with both endpoints adjacent to all of his set.
+    """
+    if role == "A":
+        return tuple(int(u in own or v in own) for u, v in idx.pairs)
+    gamma = set()
+    if kind_name == "relaxed-clique":
+        if not own:
+            raise ValueError("relaxed vector requires a nonempty set")
+        gamma = {w for w in range(g.n) if w not in own and all(g.adjacent(w, x) for x in own)}
+    return tuple(
+        int(not (u in own or v in own or (u in gamma and v in gamma))) for u, v in idx.pairs
+    )
+
+
+class FullVectorParty(games._Party):
+    """A party that evaluates every node of its circuit on its whole vector.
+
+    This is the one-pass ``node_values`` walk that the two-layer evaluation
+    of ``games._Party`` must reproduce value for value; handshake, channel
+    and walk rules are inherited unchanged.
+    """
+
+    def prepare(self):
+        self.circuit = games.game_circuit(self.g, self.idx, self.kind, self.k, self.cfg)
+        vec = brute_party_vector(self.g, self.idx, self.kind.name, self.role, self.own)
+        self.vals = node_values(self.circuit, vec)
+        self.cursor = self.circuit.output
+        if self.vals[self.cursor] != self.target:
+            side = "first" if self.role == "A" else "second"
+            raise games.SeparationError(
+                f"separation failure: the {side} party's vector evaluates to "
+                f"{self.vals[self.cursor]}, expected {self.target}"
+            )
+
+    def _value(self, node):
+        return self.vals[node]
+
+
+@contextlib.contextmanager
+def full_vector_parties():
+    """Within the block, ``games.play`` seats two ``FullVectorParty`` players."""
+    with mock.patch.object(games, "_Party", FullVectorParty):
+        yield
+
+
+def reference_play(kind, g: Graph, a, b, cfg=None):
+    """``play`` with both parties evaluating their full vectors."""
+    with full_vector_parties():
+        return games.play(kind, g, a, b, cfg)

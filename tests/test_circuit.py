@@ -289,3 +289,66 @@ class TestSerialization:
             parse_circuit("0 VAR 0\n")
         with pytest.raises(ValueError, match="dense"):
             parse_circuit("1 VAR 0\nOUTPUT 1\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0 VAR 0 7\nOUTPUT 0\n",
+            "0 CONST 1 1\nOUTPUT 0\n",
+            "0 VAR 0\n1 VAR 1\n2 AND 0 1 2\nOUTPUT 2\n",
+            "0 VAR 0\nOUTPUT 0 0\n",
+        ],
+    )
+    def test_parse_rejects_trailing_tokens(self, text):
+        with pytest.raises(ValueError, match="takes|OUTPUT"):
+            parse_circuit(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0 VAR 0\nOUTPUT 0",  # no final newline
+            "0 VAR 0\n\nOUTPUT 0\n",  # blank line
+            "0  VAR 0\nOUTPUT 0\n",  # double space
+            "0\tVAR 0\nOUTPUT 0\n",  # tab
+            "0 VAR 00\nOUTPUT 0\n",  # leading zero
+            "0 VAR +0\nOUTPUT 0\n",  # sign
+            "0 VAR 1_0\nOUTPUT 0\n",  # underscore
+            "0 VAR \u0663\nOUTPUT 0\n",  # a non-ASCII digit
+            "0 VAR 0\nOUTPUT 0\n0 VAR 0\n",  # a node after OUTPUT
+        ],
+    )
+    def test_parse_accepts_only_the_serialized_form(self, text):
+        with pytest.raises(ValueError):
+            parse_circuit(text)
+
+    def test_mutated_text_is_rejected_or_round_trips(self):
+        """Seeded edits of serialized circuits: a ValueError, or a circuit
+        whose serialization is the edited text itself."""
+        rng = random.Random(77)
+        bases = [serialize_circuit(build_threshold_sort(5, 3)), serialize_circuit(_and2())]
+        pool = [chr(c) for c in range(256)] + ["\u0663", "\u2003"]
+        parsed = 0
+        for trial in range(3000):
+            text = bases[trial % len(bases)]
+            for _ in range(rng.randrange(1, 3)):
+                i = rng.randrange(len(text))
+                op = rng.randrange(4)
+                if op == 0:
+                    text = text[:i] + rng.choice(pool + list("0123456789 \n")) + text[i + 1 :]
+                elif op == 1:
+                    text = text[:i] + rng.choice(pool + list("0123456789 \n")) + text[i:]
+                elif op == 2:
+                    text = text[:i] + text[i + 1 :]
+                else:
+                    lines = text.split("\n")
+                    j = rng.randrange(len(lines))
+                    text = "\n".join(lines[:j] + [lines[j]] + lines[j:])
+                if not text:
+                    text = "\n"
+            try:
+                c = parse_circuit(text)
+            except ValueError:
+                continue
+            parsed += 1
+            assert serialize_circuit(c) == text
+        assert parsed > 10

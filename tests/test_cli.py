@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -150,3 +151,68 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["play", p4_file, "--game", "biclique", "--a", "1", "--b", "3", "--builder", "x"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("k", ["0", "6", "-1"])
+    def test_k_outside_range_is_2(self, c5_file, capsys, k):
+        assert main(["build-circuit", c5_file, "--game", "biclique", "--k", k]) == 2
+        assert "--k" in capsys.readouterr().err
+
+    def test_unknown_vertex_label_is_2(self, c5_file, capsys):
+        assert main(["play", c5_file, "--game", "biclique", "--a", "9", "--b", "1"]) == 2
+        assert "unknown vertex label 9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("game, bound", [("edge-biclique", "-1"), ("biclique", "2")])
+    def test_bad_edge_bound_is_2(self, c5_file, capsys, game, bound):
+        argv = ["play", c5_file, "--game", game, "--a", "1,2", "--b", "4", "--edge-bound", bound]
+        assert main(argv) == 2
+        assert "--edge-bound" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_max", ["1", "0", "-3"])
+    def test_n_max_below_2_is_2(self, capsys, n_max):
+        assert main(["verify", "--suite", "induced-clique", "--n-max", n_max]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--n-max" in captured.err
+
+    def test_non_utf8_graph_is_3(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.col"
+        bad.write_bytes(b"c caf\xe9\np edge 2 1\ne 1 2\n")
+        assert main(["oracle", str(bad)]) == 3
+        assert "not UTF-8" in capsys.readouterr().err
+
+
+def _mutate_bytes(data: bytes, rng: random.Random) -> bytes:
+    """One seeded edit: replace, insert or delete a byte, or cut the tail."""
+    i = rng.randrange(len(data))
+    op = rng.randrange(4)
+    if op == 0:
+        return data[:i] + bytes([rng.randrange(256)]) + data[i + 1 :]
+    if op == 1:
+        return data[:i] + bytes([rng.choice(b"0123456789 \nepbc-\t\xff")]) + data[i:]
+    if op == 2:
+        return data[:i] + data[i + 1 :]
+    return data[:i]
+
+
+def test_mutated_graph_files_exit_with_documented_codes(tmp_path, capsys):
+    """A mutated graph file ends in one of the documented exit codes, never a traceback."""
+    rng = random.Random(2024)
+    bases = [P4.encode(), C5.encode(), b"p edge 4 3\nb 2\ne 1 3\ne 1 4\ne 2 4\n"]
+    commands = [
+        ["oracle"],
+        ["play", "--game", "biclique", "--a", "1,2", "--b", "3,4"],
+        ["play", "--game", "clique", "--a", "1,2", "--b", "4"],
+        ["stats", "--game", "biclique"],
+    ]
+    path = tmp_path / "mutant.col"
+    codes = set()
+    for trial in range(600):
+        data = bytes(bases[trial % len(bases)])
+        for _ in range(rng.randrange(1, 4)):
+            data = _mutate_bytes(data, rng) or b"\n"
+        path.write_bytes(data)
+        cmd = commands[trial % len(commands)]
+        code = main([cmd[0], str(path)] + cmd[1:])
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3, 4), (data, cmd)
+        codes.add(code)
+    assert {0, 3} <= codes

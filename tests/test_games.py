@@ -13,6 +13,7 @@ from cliquegames.circuit import (
     CircuitInvariantError,
     build_threshold_sort,
     evaluate,
+    node_values,
     serialize_circuit,
 )
 from cliquegames.games import (
@@ -59,7 +60,13 @@ from cliquegames.harness import (
     random_graph,
 )
 
-from brute import brute_separator_value, reference_game_circuit
+from brute import (
+    brute_party_vector,
+    brute_separator_value,
+    full_vector_parties,
+    reference_game_circuit,
+    reference_play,
+)
 
 
 @pytest.fixture
@@ -238,12 +245,147 @@ class TestSharedNetwork:
         bit_bound(BICLIQUE, p4, cfg)
         assert net._builder is None and sorted(net.circuits) == [1, 2, 3, 4]
 
-    def test_eval_cache_keyed_on_values(self, p4):
+
+def _outcome_or_error(run):
+    try:
+        return run().to_json_obj()
+    except (ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _random_inputs(g, rng, count, cliques):
+    """Seeded disjoint pairs; with ``cliques``, greedy cliques that reach the walk."""
+    pairs = []
+    for _ in range(count):
+        order = list(range(g.n))
+        rng.shuffle(order)
+        if not cliques:
+            cut, end = sorted(rng.sample(range(1, g.n + 1), 2))
+            pairs.append((frozenset(order[:cut]), frozenset(order[cut:end])))
+            continue
+        sides = ([], [])
+        for v in order:
+            for side in sides:
+                if all(g.adjacent(v, u) for u in side):
+                    side.append(v)
+                    break
+        pairs.append(tuple(frozenset(side) for side in sides))
+    return pairs
+
+
+def _all_disjoint_pairs(n):
+    for labels in itertools.product(range(3), repeat=n):
+        yield (
+            frozenset(v for v in range(n) if labels[v] == 1),
+            frozenset(v for v in range(n) if labels[v] == 2),
+        )
+
+
+ALL_KINDS = (BICLIQUE, CLIQUE, RELAXED_CLIQUE, EDGE_BICLIQUE)
+
+
+class TestTwoLayerEvaluation:
+    """A party reads its slot roots off set masks, evaluates the gates above
+    them in one pass and the monomial trees below only where the walk goes;
+    ``brute.reference_play`` evaluates every node on the whole vector.  The
+    two must agree on every outcome and every value read."""
+
+    def _assert_same(self, kind, g, pairs, cfg):
+        outcomes = []
+        for a, b in pairs:
+            got = _outcome_or_error(lambda: play(kind, g, a, b, cfg))
+            want = _outcome_or_error(lambda: reference_play(kind, g, a, b, cfg))
+            assert got == want, (kind.name, sorted(g.edges), sorted(a), sorted(b))
+            outcomes.append(got)
+        return outcomes
+
+    def test_catalog_every_input_that_reaches_the_walk(self):
+        # inputs a clique-style handshake settles never evaluate a node
+        for g in catalog_all_graphs(5):
+            for kind in ALL_KINDS:
+                cfg = GameConfig()
+                pairs = [
+                    (vi.a, vi.b)
+                    for vi in enumerate_valid_inputs(g, kind, cfg)
+                    if vi.both_cliques or kind.crossing_goal
+                ]
+                got = [play(kind, g, a, b, cfg).to_json_obj() for a, b in pairs]
+                with full_vector_parties():
+                    want = [play(kind, g, a, b, cfg).to_json_obj() for a, b in pairs]
+                assert got == want, (kind.name, sorted(g.edges))
+
+    @pytest.mark.parametrize("kind", [BICLIQUE, CLIQUE], ids=lambda k: k.name)
+    def test_random_graph_n32(self, kind):
+        g, _ = strip_stars(random_graph(32, 0.5, random.Random(32)))
+        pairs = _random_inputs(g, random.Random(5), 40, cliques=kind == CLIQUE)
+        outcomes = self._assert_same(kind, g, pairs, GameConfig())
+        # every input reaches the walk, so the comparison covers node values
+        assert all(any(e["meaning"] == "descend" for e in out["entries"]) for out in outcomes)
+
+    def test_bipartite_graph_with_constant_monomial(self):
+        # vertex 1 is adjacent to the whole second part: a constant-1 monomial
+        g = graph_from_edges(
+            5, [(0, 3), (1, 3), (1, 4), (2, 4)], bipartition=({0, 1, 2}, {3, 4})
+        )
+        pairs = [(a, b) for a, b in _all_disjoint_pairs(5) if a <= {0, 1, 2} and b <= {3, 4}]
+        for cfg in (GameConfig(), GameConfig(oracle_limit=0)):
+            for kind in (BICLIQUE, GameKind("edge-biclique", 1)):
+                self._assert_same(kind, g, pairs, cfg)
+
+    def test_monomial_that_is_one_shared_variable(self):
+        # nonedges (0, 1), (1, 2), (3, 4): the monomials of 3 and 4 are the
+        # same VAR node, and the monomial of 0 is a leaf of the tree of 1
+        missing = {(0, 1), (1, 2), (3, 4)}
+        g = graph_from_edges(5, [p for p in itertools.combinations(range(5), 2) if p not in missing])
         cfg = GameConfig()
-        play(BICLIQUE, p4, {0, 1}, {2, 3}, cfg)
-        for key in cfg.eval_cache:
-            assert len(key) == 4 and key[:3] == (p4, "threshold", 2)
-            assert len(key[3]) == len(nonedges(p4))
+        circ = game_circuit(g, nonedges(g), BICLIQUE, 1, cfg)
+        roots = cfg.circuit_cache[g, "threshold"].roots[1]
+        assert roots[3] == roots[4] and circ.gates[roots[3]][0] == "VAR"
+        assert circ.gates[roots[0]][0] == "VAR" and circ.gates[roots[1]][0] == "AND"
+        pairs = list(_all_disjoint_pairs(5))
+        for cfg in (GameConfig(), GameConfig(oracle_limit=0)):
+            for kind in (BICLIQUE, CLIQUE, RELAXED_CLIQUE, GameKind("edge-biclique", 2)):
+                self._assert_same(kind, g, pairs, cfg)
+
+    def test_every_value_read_matches_node_values(self, monkeypatch):
+        two_layer = games_module._Party._value
+        reads = []
+
+        def checked(party, node):
+            val = two_layer(party, node)
+            ref = party.__dict__.get("ref_vals")
+            if ref is None:
+                vec = brute_party_vector(party.g, party.idx, party.kind.name, party.role, party.own)
+                ref = party.ref_vals = node_values(party.circuit, vec)
+            assert val == ref[node], (party.role, party.kind.name, node)
+            reads.append(node)
+            return val
+
+        monkeypatch.setattr(games_module._Party, "_value", checked)
+        for g in catalog_all_graphs(4):
+            for kind in ALL_KINDS:
+                cfg = GameConfig()
+                for vi in enumerate_valid_inputs(g, kind, cfg):
+                    play(kind, g, vi.a, vi.b, cfg)
+        g, _ = strip_stars(random_graph(32, 0.5, random.Random(32)))
+        for kind in (BICLIQUE, CLIQUE):
+            cfg = GameConfig()
+            for a, b in _random_inputs(g, random.Random(6), 20, cliques=kind == CLIQUE):
+                _outcome_or_error(lambda: play(kind, g, a, b, cfg))
+        assert len(reads) > 10_000
+
+    def test_play_builds_no_vector(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("play materialised a whole vector")
+
+        vector_makers = ("incidence_vector", "non_incidence_vector", "relaxed_non_incidence_vector")
+        for name in vector_makers + ("node_values",):
+            monkeypatch.setattr(games_module, name, forbidden)
+        g, _ = strip_stars(random_graph(32, 0.5, random.Random(32)))
+        for kind in (BICLIQUE, CLIQUE, RELAXED_CLIQUE):
+            cfg = GameConfig()
+            for a, b in _random_inputs(g, random.Random(7), 10, cliques=kind != BICLIQUE):
+                _outcome_or_error(lambda: play(kind, g, a, b, cfg))
 
 
 class TestInducedCliqueCircuit:
