@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 from .circuit import serialize_circuit
 from .games import (
+    GAME_NAMES,
     GameConfig,
     GameKind,
     bit_bound,
@@ -43,9 +44,6 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_ORACLE = 4
-
-_GAME_NAMES = ("biclique", "clique", "relaxed-clique", "edge-biclique")
-
 
 class UsageError(ValueError):
     """A malformed flag value or environment override (exit 2)."""
@@ -258,14 +256,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-circuit", help="emit a separator circuit")
     p.add_argument("file")
-    p.add_argument("--game", choices=_GAME_NAMES, required=True)
+    p.add_argument("--game", choices=GAME_NAMES, required=True)
     p.add_argument("--k", type=int, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_build_circuit)
 
     p = sub.add_parser("play", help="run one game and print the transcript")
     p.add_argument("file")
-    p.add_argument("--game", choices=_GAME_NAMES, required=True)
+    p.add_argument("--game", choices=GAME_NAMES, required=True)
     p.add_argument("--a", required=True, help="comma-separated vertex labels for Alice")
     p.add_argument("--b", required=True, help="comma-separated vertex labels for Bob")
     p.add_argument("--edge-bound", type=int, default=None)
@@ -280,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="worst-case bits over all valid inputs")
     p.add_argument("file")
-    p.add_argument("--game", choices=_GAME_NAMES, required=True)
+    p.add_argument("--game", choices=GAME_NAMES, required=True)
     p.add_argument("--edge-bound", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_stats)

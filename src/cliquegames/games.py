@@ -25,9 +25,13 @@ Game kinds:
 * ``edge-biclique``: promise |a|*|b| > K where no biclique of the graph has
   more than K edges; same circuits, crossing answer.
 
-Both parties rebuild circuits deterministically from shared data instead of
-exchanging them, and both decode every message from the transcript alone,
-so agreement is structural rather than assumed.
+The message schedule is written once (``_protocol``): who speaks next, what
+the message means, how wide it is and where the walk goes all follow from
+the public data and the bits already sent.  ``play`` runs it with the two
+parties answering and ``replay_transcript`` with a recorded transcript, so
+the agreed nonedge is a function of the transcript alone, as in the
+Karchmer-Wigderson game.  Both parties rebuild circuits deterministically
+from shared data instead of exchanging them.
 """
 
 from __future__ import annotations
@@ -50,6 +54,8 @@ from .graph import (
     Graph,
     NonedgeIndex,
     Pair,
+    _common_neighbor_mask,
+    _mask,
     common_neighbors,
     find_nonedge_within,
     has_complete_star,
@@ -69,7 +75,7 @@ class SeparationError(RuntimeError):
     """A circuit failed to separate the two parties' vectors."""
 
 
-_KIND_NAMES = ("biclique", "clique", "relaxed-clique", "edge-biclique")
+GAME_NAMES = ("biclique", "clique", "relaxed-clique", "edge-biclique")
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,7 @@ class GameKind:
     edge_bound: Optional[int] = None
 
     def __post_init__(self):
-        if self.name not in _KIND_NAMES:
+        if self.name not in GAME_NAMES:
             raise ValueError(f"unknown game kind {self.name!r}")
         if self.edge_bound is not None:
             if self.name != "edge-biclique":
@@ -104,11 +110,7 @@ EDGE_BICLIQUE = GameKind("edge-biclique")
 
 
 def kind_from_name(name: str, edge_bound: Optional[int] = None) -> GameKind:
-    if name == "edge-biclique":
-        return GameKind(name, edge_bound)
-    if edge_bound is not None:
-        raise ValueError("only the edge-biclique game takes an edge bound")
-    return GameKind(name)
+    return GameKind(name, edge_bound)
 
 
 @dataclass
@@ -129,22 +131,15 @@ class GameConfig:
     circuit_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 
-def _set_mask(s: Iterable[int]) -> int:
-    m = 0
-    for v in s:
-        m |= 1 << v
-    return m
-
-
 def incidence_vector(idx: NonedgeIndex, s: Iterable[int]) -> tuple[int, ...]:
     """Bit per nonedge: 1 exactly on nonedges with an endpoint in ``s``."""
-    m = _set_mask(s)
+    m = _mask(s)
     return tuple(1 if (m >> u & 1) or (m >> v & 1) else 0 for u, v in idx.pairs)
 
 
 def non_incidence_vector(idx: NonedgeIndex, s: Iterable[int]) -> tuple[int, ...]:
     """Complement of ``incidence_vector``: 0 exactly on nonedges touching ``s``."""
-    m = _set_mask(s)
+    m = _mask(s)
     return tuple(0 if (m >> u & 1) or (m >> v & 1) else 1 for u, v in idx.pairs)
 
 
@@ -157,8 +152,8 @@ def relaxed_non_incidence_vector(
     acceptable answer in the relaxed game, so Bob zeroes it as well; the
     result is pointwise <= the plain vector.
     """
-    bm = _set_mask(b)
-    gm = _common_neighbor_mask(g, b)
+    bm = _mask(b)
+    gm = _gamma_mask(g, bm)
     out = []
     for u, v in idx.pairs:
         touches_b = (bm >> u & 1) or (bm >> v & 1)
@@ -167,11 +162,11 @@ def relaxed_non_incidence_vector(
     return tuple(out)
 
 
-def _common_neighbor_mask(g: Graph, b: Iterable[int]) -> int:
+def _gamma_mask(g: Graph, bm: int) -> int:
     """Mask of Γ(b): the endpoints of the nonedges Bob's relaxed vector also zeroes."""
-    if not _set_mask(b):
+    if not bm:
         raise ValueError("relaxed vector requires a nonempty set")
-    return _set_mask(common_neighbors(g, b))
+    return _common_neighbor_mask(g, bm)
 
 
 def monomial_universe(g: Graph) -> list[int]:
@@ -283,7 +278,7 @@ class SeparatorNetwork:
         if self._masks is None:
             g = self.g
             # nonedges run between any two vertices, or across the parts
-            space = g.full_mask if g.bipartition is None else _set_mask(g.bipartition[1])
+            space = g.full_mask if g.bipartition is None else _mask(g.bipartition[1])
             bits = tuple(1 << v for v in self.vertices)
             self._masks = bits, tuple(space & ~g.adj[v] & ~bit for v, bit in zip(self.vertices, bits))
         return self._masks
@@ -380,11 +375,11 @@ class _Channel:
 
 
 # The handshake of the clique-style games, one step per party in order:
-# sender, meaning of the 1-bit clique flag, meaning of the nonedge that
-# follows a "0" flag, and the kind of answer that nonedge is.
+# sender, meaning of the 1-bit clique flag, and meaning of the nonedge that
+# follows a "0" flag.
 _HANDSHAKE = (
-    ("A", "alice-clique-flag", "alice-nonedge", "within_a"),
-    ("B", "bob-clique-flag", "bob-nonedge", "within_b"),
+    ("A", "alice-clique-flag", "alice-nonedge"),
+    ("B", "bob-clique-flag", "bob-nonedge"),
 )
 
 
@@ -417,7 +412,7 @@ def _decode_pair(bits: str, n: int) -> Pair:
 
 
 # --------------------------------------------------------------------------
-# the two party state machines
+# game circuits and the two parties
 
 
 def _family(kind: GameKind) -> str:
@@ -449,13 +444,13 @@ def _nonedge_index(g: Graph, cfg: GameConfig) -> NonedgeIndex:
 
 
 class _Party:
-    """One side of a session.  Sees the graph, its own set, and the transcript.
+    """One side of a session.  Sees the graph, its own set, and the messages.
 
     Alice's target value is 1 (she steers OR gates toward a child that stays
     1 on her vector); Bob's is 0 (he steers AND gates toward a child that
     stays 0 on his).  Preference goes to the left child, and a bit is sent
-    even when the choice is forced, so both cursors advance in lockstep from
-    the transcript alone.
+    even when the choice is forced, so where the walk stands follows from
+    the transcript alone (``_protocol``).
 
     A party never builds its vector over the nonedges.  Every node is an
     AND or OR of variables, and a party's value on a variable, or on the
@@ -474,34 +469,23 @@ class _Party:
         self.own = own
         self.kind = kind
         self.cfg = cfg
-        self.k: int | None = None
         self.circuit: Circuit | None = None
         self.mask = 0
         self.gamma = 0
         self.vals: list[int | None] | None = None
-        self.cursor: int | None = None
-        self.answer: Pair | None = None
 
-    # handshake -------------------------------------------------------
-    def clique_flag(self) -> str:
-        return "1" if self.g.is_clique(self.own) else "0"
-
-    def own_nonedge_bits(self) -> str:
+    def say(self, meaning: str, width: int, node: int | None) -> str:
+        """This party's bits for one message of ``_protocol``."""
+        if node is not None:
+            return self.descend_bit(node)
+        if meaning == "set-size":
+            return format(len(self.own), f"0{width}b")
+        if meaning.endswith("clique-flag"):
+            return "1" if self.g.is_clique(self.own) else "0"
         pair = find_nonedge_within(self.g, self.own)
         assert pair is not None
         return _encode_pair(pair, self.g.n)
 
-    def accept_nonedge_bits(self, bits: str) -> None:
-        self.answer = _decode_pair(bits, self.g.n)
-
-    # size announcement ------------------------------------------------
-    def size_bits(self) -> str:
-        return format(len(self.own), f"0{size_field_width(self.g.n)}b")
-
-    def receive_size(self, bits: str) -> None:
-        self.k = int(bits, 2)
-
-    # traversal ---------------------------------------------------------
     def _holds(self, bit: int, partners: int) -> int:
         """This party's value of the AND over the nonedges from ``bit`` to ``partners``.
 
@@ -518,14 +502,13 @@ class _Party:
         gm = self.gamma
         return 0 if partners and (m & bit or partners & m or (gm & bit and partners & gm)) else 1
 
-    def prepare(self) -> None:
-        assert self.k is not None
+    def prepare(self, k: int) -> None:
         net = _game_network(self.g, self.idx, self.kind, self.cfg)
-        circ = self.circuit = net.circuit(self.k)
-        self.mask = _set_mask(self.own)
+        circ = self.circuit = net.circuit(k)
+        self.mask = _mask(self.own)
         if self.role == "B" and self.kind.name == "relaxed-clique":
-            self.gamma = _common_neighbor_mask(self.g, self.own)
-        roots = net.roots[self.k]
+            self.gamma = _gamma_mask(self.g, self.mask)
+        roots = net.roots[k]
         gates = circ.gates
         vals = self.vals = [None] * len(gates)
         for node, bit, partners in zip(roots, *net.monomial_masks()):
@@ -540,14 +523,6 @@ class _Party:
                 vals[i] = vals[gate[1]] | vals[gate[2]]
             else:  # a constant: every variable sits in the monomial trees
                 vals[i] = gate[1]
-        self.cursor = circ.output
-        value = self._value(self.cursor)
-        if value != self.target:
-            side = "first" if self.role == "A" else "second"
-            raise SeparationError(
-                f"separation failure: the {side} party's vector evaluates to "
-                f"{value}, expected {self.target}"
-            )
 
     def _value(self, node: int) -> int:
         val = self.vals[node]
@@ -562,35 +537,61 @@ class _Party:
             self.vals[node] = val
         return val
 
-    def at_gate(self) -> bool:
-        return self.circuit.gates[self.cursor][0] in (AND, OR)
-
-    def gate_op(self) -> str:
-        return self.circuit.gates[self.cursor][0]
-
-    def descend_bit(self) -> str:
-        gate = self.circuit.gates[self.cursor]
-        return "0" if self._value(gate[1]) == self.target else "1"
-
-    def apply_descend(self, bit: str) -> None:
-        # the choosing party preserves its own invariant; the other party's
-        # follows from gate semantics, so this must hold on every step
-        gate = self.circuit.gates[self.cursor]
-        self.cursor = gate[1] if bit == "0" else gate[2]
-        if self._value(self.cursor) != self.target:
-            raise CircuitInvariantError("traversal invariant broke; circuit rules are wrong")
-
-    def leaf_nonedge(self) -> Pair:
-        gate = self.circuit.gates[self.cursor]
-        if gate[0] == CONST:
-            raise CircuitInvariantError("reached a constant leaf during traversal")
-        assert gate[0] == VAR
-        self.answer = self.idx.pair(gate[1])
-        return self.answer
+    def descend_bit(self, node: int) -> str:
+        return "0" if self._value(self.circuit.gates[node][1]) == self.target else "1"
 
 
 # --------------------------------------------------------------------------
-# standalone traversal (testable without the session plumbing)
+# the message schedule
+
+
+def _descend(
+    c: Circuit,
+    speak: Callable[[str, str, int, Optional[int]], str],
+    stand: Optional[Callable[[int], None]] = None,
+) -> int:
+    """Walk ``c`` from its output to a variable, one bit per AND/OR gate.
+
+    Bob speaks at an AND gate, Alice at an OR gate, and "0" goes to the
+    left child.  ``stand`` sees every node the walk stands on, the output
+    and the leaf included.  Returns the leaf's variable index.
+    """
+    node = c.output
+    while True:
+        if stand is not None:
+            stand(node)
+        gate = c.gates[node]
+        if gate[0] == VAR:
+            return gate[1]
+        if gate[0] == CONST:
+            raise CircuitInvariantError("reached a constant leaf during traversal")
+        bit = speak("B" if gate[0] == AND else "A", "descend", 1, node)
+        node = gate[1] if bit == "0" else gate[2]
+
+
+def _protocol(
+    g: Graph,
+    kind: GameKind,
+    cfg: GameConfig,
+    speak: Callable[[str, str, int, Optional[int]], str],
+    stand: Optional[Callable[[int], None]] = None,
+) -> Pair:
+    """The message schedule of every game; returns the agreed nonedge.
+
+    ``speak(sender, meaning, width, node)`` gives the bits of each message
+    in turn: in the clique-style games the handshake of ``_HANDSHAKE``,
+    which ends the game at the first "0" flag with that sender's nonedge;
+    then Alice's set size k; then one descend bit per gate on the walk of
+    the round-k circuit, where ``node`` is that gate (it is None for every
+    other message).  ``stand`` is handed to ``_descend``.
+    """
+    if kind.has_handshake:
+        for sender, flag, nonedge in _HANDSHAKE:
+            if speak(sender, flag, 1, None) == "0":
+                return _decode_pair(speak(sender, nonedge, 2 * vertex_field_width(g.n), None), g.n)
+    k = int(speak("A", "set-size", size_field_width(g.n), None), 2)
+    idx = _nonedge_index(g, cfg)
+    return idx.pair(_descend(game_circuit(g, idx, kind, k, cfg), speak, stand))
 
 
 def find_separating_variable(
@@ -609,22 +610,15 @@ def find_separating_variable(
         raise SeparationError(
             "separation failure: assignments are not separated by this circuit"
         )
-    cur = c.output
-    while True:
-        gate = c.gates[cur]
-        if gate[0] == VAR:
-            return gate[1]
-        if gate[0] == CONST:
-            raise CircuitInvariantError("reached a constant leaf during traversal")
-        if gate[0] == AND:
-            bit = 0 if zeros[gate[1]] == 0 else 1
-            sender = "B"
-        else:
-            bit = 0 if ones[gate[1]] == 1 else 1
-            sender = "A"
+
+    def speak(sender: str, meaning: str, width: int, node: int) -> str:
+        vals, target = (ones, 1) if sender == "A" else (zeros, 0)
+        bit = "0" if vals[c.gates[node][1]] == target else "1"
         if channel is not None:
-            channel.send(sender, str(bit), "descend")
-        cur = gate[1] if bit == 0 else gate[2]
+            channel.send(sender, bit, meaning)
+        return bit
+
+    return _descend(c, speak)
 
 
 # --------------------------------------------------------------------------
@@ -769,8 +763,10 @@ def play(
     Phases: optional clique handshake (clique/relaxed games), Alice's
     fixed-width size announcement, deterministic circuit construction on
     both sides, the one-bit-per-gate backward traversal, and the shared
-    mapping of the reached variable back to a nonedge.  The returned
-    outcome carries both parties' independently decoded answers.
+    mapping of the reached variable back to a nonedge, all in the order
+    ``_protocol`` gives.  Each party checks its own value wherever the walk
+    stands.  Both parties follow that one walk, so the outcome's
+    ``alice_answer`` and ``bob_answer`` are both the agreed nonedge.
     """
     cfg = config if config is not None else GameConfig()
     a = frozenset(a)
@@ -782,39 +778,30 @@ def play(
     alice = _Party("A", g, idx, a, kind, cfg)
     bob = _Party("B", g, idx, b, kind, cfg)
 
-    kind_of_answer = None
-    if kind.has_handshake:
-        for party, (sender, flag, nonedge, within) in zip((alice, bob), _HANDSHAKE):
-            if ch.send(sender, party.clique_flag(), flag) == "0":
-                bits = ch.send(sender, party.own_nonedge_bits(), nonedge)
-                alice.accept_nonedge_bits(bits)
-                bob.accept_nonedge_bits(bits)
-                kind_of_answer = within
-                break
+    def speak(sender: str, meaning: str, width: int, node: Optional[int]) -> str:
+        bits = ch.send(sender, (alice if sender == "A" else bob).say(meaning, width, node), meaning)
+        if meaning == "set-size":
+            alice.prepare(int(bits, 2))
+            bob.prepare(int(bits, 2))
+        return bits
 
-    if kind_of_answer is None:
-        bits = ch.send("A", alice.size_bits(), "set-size")
-        alice.receive_size(bits)
-        bob.receive_size(bits)
-        try:
-            alice.prepare()
-            bob.prepare()
-            while alice.at_gate():
-                if alice.gate_op() == AND:
-                    bit = ch.send("B", bob.descend_bit(), "descend")
-                else:
-                    bit = ch.send("A", alice.descend_bit(), "descend")
-                alice.apply_descend(bit)
-                bob.apply_descend(bit)
-            alice.leaf_nonedge()
-            bob.leaf_nonedge()
-        except SeparationError as exc:
-            raise SeparationError(f"{exc} [game={kind.name}, k={alice.k}]") from None
-        kind_of_answer = classify_answer(g, a, b, alice.answer)
+    def stand(node: int) -> None:
+        # the output must separate the two vectors; below it the speaker
+        # keeps its own value by its choice and the other party by the
+        # gate's semantics, so a miss there means the circuit rules are wrong
+        for party in (alice, bob):
+            value = party._value(node)
+            if value == party.target:
+                continue
+            if node != party.circuit.output:
+                raise CircuitInvariantError("traversal invariant broke; circuit rules are wrong")
+            side = "first" if party.role == "A" else "second"
+            raise SeparationError(
+                f"separation failure: the {side} party's vector evaluates to "
+                f"{value}, expected {party.target} [game={kind.name}, k={len(a)}]"
+            )
 
-    if alice.answer != bob.answer:
-        raise CircuitInvariantError("the parties decoded different answers")
-    nonedge = alice.answer
+    nonedge = _protocol(g, kind, cfg, speak, stand)
     if nonedge in g.edges:
         raise CircuitInvariantError("the agreed pair is an edge, not a nonedge")
     return Outcome(
@@ -823,9 +810,9 @@ def play(
         a=a,
         b=b,
         nonedge=nonedge,
-        alice_answer=alice.answer,
-        bob_answer=bob.answer,
-        kind_of_answer=kind_of_answer,
+        alice_answer=nonedge,
+        bob_answer=nonedge,
+        kind_of_answer=classify_answer(g, a, b, nonedge),
         transcript=ch.transcript,
         promise_verified=promise_verified,
         edge_bound=edge_bound,
@@ -846,13 +833,14 @@ def replay_transcript(
     knowledge.  It accepts exactly what ``play`` can emit: entry i has
     round i, and its sender and width follow from the game, n and, for a
     descend bit, the op of the gate the walk stands at.  A handshake pair
-    must be a nonedge of ``g``.  Anything else raises ``ValueError``.
+    must be a nonedge of ``g``.  Anything else raises ``ValueError``, except
+    a walk onto a constant leaf, which raises ``CircuitInvariantError``.
     """
     cfg = config if config is not None else GameConfig()
     entries = transcript.entries if isinstance(transcript, Transcript) else list(transcript)
     pos = 0
 
-    def take(meaning: str, sender: str, width: int) -> str:
+    def take(sender: str, meaning: str, width: int, node: Optional[int]) -> str:
         nonlocal pos
         if pos == len(entries):
             raise ValueError(f"transcript ends where entry {pos + 1} ({meaning}) is due")
@@ -866,27 +854,12 @@ def replay_transcript(
             )
         return e.bits
 
-    if kind.has_handshake:
-        for sender, flag, nonedge, _ in _HANDSHAKE:
-            if take(flag, sender, 1) == "0":
-                pair = _decode_pair(take(nonedge, sender, 2 * vertex_field_width(g.n)), g.n)
-                if pair in g.edges:
-                    raise ValueError(f"handshake pair {pair} is an edge, not a nonedge")
-                if pos != len(entries):
-                    raise ValueError("transcript has trailing entries")
-                return pair
-    k = int(take("set-size", "A", size_field_width(g.n)), 2)
-    idx = _nonedge_index(g, cfg)
-    circ = game_circuit(g, idx, kind, k, cfg)
-    gate = circ.gates[circ.output]
-    while gate[0] in (AND, OR):
-        bit = take("descend", "B" if gate[0] == AND else "A", 1)
-        gate = circ.gates[gate[1] if bit == "0" else gate[2]]
+    pair = _protocol(g, kind, cfg, take)
+    if pair in g.edges:
+        raise ValueError(f"handshake pair {pair} is an edge, not a nonedge")
     if pos != len(entries):
         raise ValueError("transcript has trailing entries")
-    if gate[0] != VAR:
-        raise CircuitInvariantError("transcript walks into a constant leaf")
-    return idx.pair(gate[1])
+    return pair
 
 
 def bit_bound(kind: GameKind, g: Graph, config: Optional[GameConfig] = None) -> int:

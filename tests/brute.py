@@ -196,21 +196,14 @@ class FullVectorParty(games._Party):
     """A party that evaluates every node of its circuit on its whole vector.
 
     This is the one-pass ``node_values`` walk that the two-layer evaluation
-    of ``games._Party`` must reproduce value for value; handshake, channel
-    and walk rules are inherited unchanged.
+    of ``games._Party`` must reproduce value for value; the messages it
+    says and the checks ``play`` makes on its values are unchanged.
     """
 
-    def prepare(self):
-        self.circuit = games.game_circuit(self.g, self.idx, self.kind, self.k, self.cfg)
+    def prepare(self, k):
+        self.circuit = games.game_circuit(self.g, self.idx, self.kind, k, self.cfg)
         vec = brute_party_vector(self.g, self.idx, self.kind.name, self.role, self.own)
         self.vals = node_values(self.circuit, vec)
-        self.cursor = self.circuit.output
-        if self.vals[self.cursor] != self.target:
-            side = "first" if self.role == "A" else "second"
-            raise games.SeparationError(
-                f"separation failure: the {side} party's vector evaluates to "
-                f"{self.vals[self.cursor]}, expected {self.target}"
-            )
 
     def _value(self, node):
         return self.vals[node]

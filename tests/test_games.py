@@ -458,6 +458,63 @@ class TestTraversal:
             assert one[i] == 1 and zero[i] == 0
             assert ch.transcript.total_bits <= c.depth
 
+    def test_same_walk_as_play_on_catalog(self):
+        # on the whole vectors of both sides, the standalone walk of the
+        # round-k circuit must reach play's answer by play's descend bits
+        walks = 0
+        for g in catalog_all_graphs(4):
+            for kind in ALL_KINDS:
+                cfg = GameConfig()
+                idx = nonedges(g)
+                for vi in enumerate_valid_inputs(g, kind, cfg):
+                    if not (vi.both_cliques or kind.crossing_goal):
+                        continue
+                    out = play(kind, g, vi.a, vi.b, cfg)
+                    circ = game_circuit(g, idx, kind, len(vi.a), cfg)
+                    ch = _Channel()
+                    var = find_separating_variable(
+                        circ,
+                        brute_party_vector(g, idx, kind.name, "A", vi.a),
+                        brute_party_vector(g, idx, kind.name, "B", vi.b),
+                        ch,
+                    )
+                    assert idx.pair(var) == out.nonedge, (kind.name, sorted(g.edges), vi)
+                    descends = [(e.sender, e.bits) for e in out.transcript.entries if e.meaning == "descend"]
+                    assert [(e.sender, e.bits) for e in ch.transcript.entries] == descends
+                    walks += 1
+        assert walks > 1_000
+
+
+class TestWalkChecks:
+    """``play`` has each party check its own value wherever the walk stands."""
+
+    @pytest.mark.parametrize("role, value", [("A", 0), ("B", 1)])
+    def test_wrong_value_below_output_breaks_invariant(self, p4, monkeypatch, role, value):
+        honest = games_module._Party._value
+
+        def lying(party, node):
+            if party.role == role and node != party.circuit.output:
+                return value
+            return honest(party, node)
+
+        monkeypatch.setattr(games_module._Party, "_value", lying)
+        with pytest.raises(CircuitInvariantError, match="traversal invariant broke"):
+            play(BICLIQUE, p4, {0, 1}, {2, 3})
+
+    def test_wrong_value_at_output_is_separation_error(self, p4, monkeypatch):
+        honest = games_module._Party._value
+
+        def lying(party, node):
+            val = honest(party, node)
+            return 1 - val if party.role == "A" and node == party.circuit.output else val
+
+        monkeypatch.setattr(games_module._Party, "_value", lying)
+        with pytest.raises(
+            SeparationError,
+            match=r"the first party's vector evaluates to 0, expected 1 \[game=biclique, k=3\]",
+        ):
+            play(BICLIQUE, p4, {0, 1, 2}, {3})
+
 
 class TestPlayBiclique:
     def test_p4_crossing(self, p4):
