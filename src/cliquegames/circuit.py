@@ -96,18 +96,7 @@ def node_values(c: Circuit, x: Bits) -> list[int]:
     """Value of every node on assignment ``x`` (single bottom-up pass)."""
     if len(x) != c.var_count:
         raise ValueError(f"assignment length {len(x)} != var_count {c.var_count}")
-    vals = [0] * len(c.gates)
-    for i, gate in enumerate(c.gates):
-        op = gate[0]
-        if op == VAR:
-            vals[i] = 1 if x[gate[1]] else 0
-        elif op == CONST:
-            vals[i] = gate[1]
-        elif op == AND:
-            vals[i] = vals[gate[1]] & vals[gate[2]]
-        else:
-            vals[i] = vals[gate[1]] | vals[gate[2]]
-    return vals
+    return _eval_masks(c, [1 if b else 0 for b in x], 1)
 
 
 def evaluate(c: Circuit, x: Bits) -> int:
@@ -129,11 +118,12 @@ def evaluate_many(c: Circuit, xs: Sequence[Bits]) -> list[int]:
         for i, b in enumerate(x):
             if b:
                 var_masks[i] |= bit
-    out = _eval_masks(c, var_masks, (1 << cols) - 1)
+    out = _eval_masks(c, var_masks, (1 << cols) - 1)[c.output]
     return [out >> j & 1 for j in range(cols)]
 
 
-def _eval_masks(c: Circuit, var_masks: Sequence[int], ones: int) -> int:
+def _eval_masks(c: Circuit, var_masks: Sequence[int], ones: int) -> list[int]:
+    """Every node's value column: variable i reads ``var_masks[i]``, constant 1 reads ``ones``."""
     vals = [0] * len(c.gates)
     for i, gate in enumerate(c.gates):
         op = gate[0]
@@ -145,7 +135,7 @@ def _eval_masks(c: Circuit, var_masks: Sequence[int], ones: int) -> int:
             vals[i] = vals[gate[1]] & vals[gate[2]]
         else:
             vals[i] = vals[gate[1]] | vals[gate[2]]
-    return vals[c.output]
+    return vals
 
 
 def truth_table(c: Circuit) -> int:
@@ -157,7 +147,7 @@ def truth_table(c: Circuit) -> int:
         for i in range(n):
             if j >> i & 1:
                 var_masks[i] |= 1 << j
-    return _eval_masks(c, var_masks, (1 << rows) - 1)
+    return _eval_masks(c, var_masks, (1 << rows) - 1)[c.output]
 
 
 def threshold_truth_table(n: int, k: int) -> int:

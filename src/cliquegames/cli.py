@@ -18,10 +18,10 @@ from .games import (
     GAME_NAMES,
     GameConfig,
     GameKind,
+    _game_network,
     bit_bound,
     game_circuit,
     kind_from_name,
-    monomial_universe,
     play,
 )
 from .graph import (
@@ -156,10 +156,11 @@ def _cmd_build_circuit(args) -> int:
     g, _ = _load_stripped(args.file)
     kind = _game_kind(args)
     cfg = _config(args)
-    slots = g.n if kind.name == "clique" else len(monomial_universe(g))
+    idx = nonedges(g)
+    slots = _game_network(g, idx, kind, cfg).slots
     if not 1 <= args.k <= slots:
         raise UsageError(f"--k: {args.k} is outside 1..{slots}")
-    circ = game_circuit(g, nonedges(g), kind, args.k, cfg)
+    circ = game_circuit(g, idx, kind, args.k, cfg)
     text = serialize_circuit(circ)
     if args.output == "json":
         print(

@@ -121,9 +121,11 @@ class GameConfig:
     deterministic sorting-network construction.  ``circuit_cache`` is pure
     memoization keyed on immutable inputs (the graph, and the circuit
     family): sharing a config across plays of the same graph avoids
-    rebuilding its nonedge index and its separator networks.  Node values
-    are never cached; a play computes the few it reads from the two sets
-    (see ``_Party``).
+    rebuilding its nonedge index and its separator networks.  It is not
+    bounded, so the harness caches one graph at a time: ``run_suite`` hands
+    each graph a fresh config with the caller's settings.  Node values are
+    never cached; a play computes the few it reads from the two sets (see
+    ``_Party``).
     """
 
     seed: int = 0
@@ -711,6 +713,25 @@ def _check_structure(kind: GameKind, g: Graph, a: frozenset, b: frozenset) -> No
                 raise PromiseViolationError("rejected input: b must lie in the second part")
 
 
+def promise_bound(kind: GameKind, g: Graph) -> int:
+    """The K of the kind's promise: ``promise_size(kind, |a|, |b|) > K``.
+
+    The max biclique size, the edge bound (the max edge biclique when none
+    is given) or the max clique size.  Calls the exact oracles, except for
+    an edge bound that is given.
+    """
+    if kind.name == "biclique":
+        return max_biclique_size(g)
+    if kind.name == "edge-biclique":
+        return kind.edge_bound if kind.edge_bound is not None else max_edge_biclique(g)
+    return max_clique_size(g)
+
+
+def promise_size(kind: GameKind, a_size: int, b_size: int) -> int:
+    """What the promise compares with ``promise_bound``: |a|*|b| for the edge game, else |a|+|b|."""
+    return a_size * b_size if kind.name == "edge-biclique" else a_size + b_size
+
+
 def _check_promise(
     kind: GameKind, g: Graph, a: frozenset, b: frozenset, cfg: GameConfig
 ) -> tuple[bool, Optional[int]]:
@@ -720,35 +741,26 @@ def _check_promise(
     instances beyond the oracle limit are trusted and flagged unverified.
     """
     feasible = g.n <= cfg.oracle_limit
-    if kind.name == "edge-biclique":
-        bound = kind.edge_bound
-        if bound is None:
-            if not feasible:
-                raise ValueError(
-                    "edge-biclique needs an explicit edge bound beyond the oracle limit"
-                )
-            bound = max_edge_biclique(g)
-        if len(a) * len(b) <= bound:
-            raise PromiseViolationError(
-                f"rejected input: |a|*|b| = {len(a) * len(b)} <= edge bound {bound}"
-            )
-        if feasible and bound < max_edge_biclique(g):
-            raise PromiseViolationError(
-                f"rejected input: edge bound {bound} is below the true maximum "
-                f"edge biclique {max_edge_biclique(g)}"
-            )
-        return feasible, bound
+    edge = kind.name == "edge-biclique"
     if not feasible:
-        return False, None
-    if kind.name == "biclique":
-        threshold = max_biclique_size(g)
-    else:
-        threshold = max_clique_size(g)
-    if len(a) + len(b) <= threshold:
+        if not edge:
+            return False, None
+        if kind.edge_bound is None:
+            raise ValueError("edge-biclique needs an explicit edge bound beyond the oracle limit")
+    bound = promise_bound(kind, g)
+    size = promise_size(kind, len(a), len(b))
+    if size <= bound:
+        if edge:
+            raise PromiseViolationError(f"rejected input: |a|*|b| = {size} <= edge bound {bound}")
+        raise PromiseViolationError(f"rejected input: |a|+|b| = {size} <= {bound}")
+    if not edge:
+        return True, None
+    if feasible and bound < max_edge_biclique(g):
         raise PromiseViolationError(
-            f"rejected input: |a|+|b| = {len(a) + len(b)} <= {threshold}"
+            f"rejected input: edge bound {bound} is below the true maximum "
+            f"edge biclique {max_edge_biclique(g)}"
         )
-    return True, None
+    return feasible, bound
 
 
 def play(

@@ -13,6 +13,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Iterator, Optional
 
 from .circuit import build_threshold_sort, evaluate_many
@@ -23,14 +24,16 @@ from .games import (
     RELAXED_CLIQUE,
     GameConfig,
     GameKind,
+    _game_network,
     bit_bound,
     game_circuit,
     incidence_vector,
     induced_clique_circuit,
     legal_answer,
-    monomial_universe,
     non_incidence_vector,
     play,
+    promise_bound,
+    promise_size,
     relaxed_non_incidence_vector,
     replay_transcript,
 )
@@ -39,9 +42,6 @@ from .graph import (
     OracleLimitError,
     TrivialGraphError,
     graph_from_edges,
-    max_biclique_size,
-    max_clique_size,
-    max_edge_biclique,
     maximal_cliques,
     nonedges,
     strip_stars,
@@ -169,29 +169,15 @@ def enumerate_valid_inputs(
     if kind.has_handshake and g.bipartition is not None:
         raise ValueError("clique games are not defined on bipartite-declared graphs")
 
-    if kind.name == "biclique":
-        threshold = max_biclique_size(g)
-    elif kind.name == "edge-biclique":
-        threshold = kind.edge_bound if kind.edge_bound is not None else max_edge_biclique(g)
-    else:
-        threshold = max_clique_size(g)
-
-    if g.bipartition is not None and kind.crossing_goal:
-        a_universe = sorted(g.bipartition[0])
-        b_universe = sorted(g.bipartition[1])
-    else:
-        a_universe = b_universe = list(range(g.n))
-
+    bound = promise_bound(kind, g)
+    a_universe, b_universe = _sides(g, kind)
     out: list[ValidInput] = []
     for a_sub in _subsets(a_universe):
         rest = [v for v in b_universe if v not in a_sub]
         for b_sub in _subsets(rest):
             if kind.crossing_goal and (not a_sub or not b_sub):
                 continue
-            if kind.name == "edge-biclique":
-                if len(a_sub) * len(b_sub) <= threshold:
-                    continue
-            elif len(a_sub) + len(b_sub) <= threshold:
+            if promise_size(kind, len(a_sub), len(b_sub)) <= bound:
                 continue
             out.append(
                 ValidInput(
@@ -201,6 +187,17 @@ def enumerate_valid_inputs(
                 )
             )
     return out
+
+
+def _sides(g: Graph, kind: GameKind) -> tuple[list[int], list[int]]:
+    """The vertices Alice's and Bob's sets are drawn from.
+
+    The two parts in the crossing games on a bipartite-declared graph, else
+    every vertex for both.
+    """
+    if g.bipartition is not None and kind.crossing_goal:
+        return sorted(g.bipartition[0]), sorted(g.bipartition[1])
+    return list(range(g.n)), list(range(g.n))
 
 
 def _subsets(universe: list[int]) -> Iterator[tuple[int, ...]]:
@@ -251,20 +248,14 @@ def _graph_repr(g: Graph) -> dict:
 
 
 def _check_circuit_on(
-    report: SuiteReport,
-    g: Graph,
-    k: int,
-    circ,
-    vectors: list,
-    expected: int,
-    side: str,
-    subsets: list,
+    report: SuiteReport, g: Graph, k: int, circ, cases: list, expected: int, side: str
 ) -> None:
-    if not vectors:
+    """Evaluate ``circ`` on every (set, vector) case; record each one not giving ``expected``."""
+    if not cases:
         return
-    got = evaluate_many(circ, vectors)
-    report.inputs_tested += len(vectors)
-    for value, subset in zip(got, subsets):
+    got = evaluate_many(circ, [vector for _, vector in cases])
+    report.inputs_tested += len(cases)
+    for value, (subset, _) in zip(got, cases):
         if value != expected:
             report.failures.append(
                 {
@@ -276,68 +267,6 @@ def _check_circuit_on(
                     "got": value,
                 }
             )
-
-
-def _suite_incidence_separation(graphs, cfg: GameConfig, report: SuiteReport) -> None:
-    """The threshold separator accepts every incidence vector of a k-set and
-    rejects the complement vector of every nonempty set larger than
-    (max biclique size - k)."""
-    for g in graphs:
-        report.graphs_tested += 1
-        idx = nonedges(g)
-        threshold = max_biclique_size(g)
-        universe = monomial_universe(g)
-        if g.bipartition is not None:
-            b_universe = sorted(g.bipartition[1])
-        else:
-            b_universe = list(range(g.n))
-        for k in range(1, len(universe) + 1):
-            circ = game_circuit(g, idx, BICLIQUE, k, cfg)
-            accept_sets = list(itertools.combinations(universe, k))
-            accept = [incidence_vector(idx, s) for s in accept_sets]
-            _check_circuit_on(report, g, k, circ, accept, 1, "accepts", accept_sets)
-            reject_sets = [
-                s for s in _subsets(b_universe) if s and len(s) > threshold - k
-            ]
-            reject = [non_incidence_vector(idx, s) for s in reject_sets]
-            _check_circuit_on(report, g, k, circ, reject, 0, "rejects", reject_sets)
-
-
-def _suite_clique_separation(graphs, cfg: GameConfig, report: SuiteReport) -> None:
-    """The clique-filtered separator accepts the incidence vector of every
-    k-clique and rejects the complement vector of every clique larger than
-    (max clique size - k)."""
-    for g in graphs:
-        report.graphs_tested += 1
-        idx = nonedges(g)
-        omega = max_clique_size(g)
-        cliques = _all_cliques(g)
-        for k in range(1, g.n + 1):
-            circ = game_circuit(g, idx, CLIQUE, k, cfg)
-            accept_sets = [c for c in cliques if len(c) == k]
-            accept = [incidence_vector(idx, s) for s in accept_sets]
-            _check_circuit_on(report, g, k, circ, accept, 1, "accepts", accept_sets)
-            reject_sets = [c for c in cliques if len(c) > omega - k]
-            reject = [non_incidence_vector(idx, s) for s in reject_sets]
-            _check_circuit_on(report, g, k, circ, reject, 0, "rejects", reject_sets)
-
-
-def _suite_relaxed_separation(graphs, cfg: GameConfig, report: SuiteReport) -> None:
-    """The threshold separator also rejects the relaxed complement vector of
-    every nonempty clique larger than (max clique size - k)."""
-    for g in graphs:
-        report.graphs_tested += 1
-        idx = nonedges(g)
-        omega = max_clique_size(g)
-        cliques = [c for c in _all_cliques(g) if c]
-        for k in range(1, g.n + 1):
-            circ = game_circuit(g, idx, RELAXED_CLIQUE, k, cfg)
-            accept_sets = list(itertools.combinations(range(g.n), k))
-            accept = [incidence_vector(idx, s) for s in accept_sets]
-            _check_circuit_on(report, g, k, circ, accept, 1, "accepts", accept_sets)
-            reject_sets = [c for c in cliques if len(c) > omega - k]
-            reject = [relaxed_non_incidence_vector(g, idx, s) for s in reject_sets]
-            _check_circuit_on(report, g, k, circ, reject, 0, "rejects", reject_sets)
 
 
 def _all_cliques(g: Graph) -> list[tuple[int, ...]]:
@@ -358,51 +287,49 @@ def contains_k_clique(g: Graph, members: Iterable[int], k: int) -> bool:
     return any(g.is_clique(c) for c in itertools.combinations(members, k))
 
 
-def _suite_induced_clique(graphs, cfg: GameConfig, report: SuiteReport) -> None:
+def _suite_induced_clique(g: Graph, cfg: GameConfig, report: SuiteReport) -> None:
     """The induced-clique circuit matches the brute-force predicate on every
     input, and its depth stays within the OR-fanin + threshold budget."""
-    for g in graphs:
-        report.graphs_tested += 1
-        mc = maximal_cliques(g)
-        inputs = [tuple(m >> v & 1 for v in range(g.n)) for m in range(1 << g.n)]
-        members = [[v for v in range(g.n) if m >> v & 1] for m in range(1 << g.n)]
-        for k in range(1, g.n + 1):
-            circ = induced_clique_circuit(g, k)
-            got = evaluate_many(circ, inputs)
-            report.inputs_tested += len(inputs)
-            for m, value in enumerate(got):
-                want = 1 if contains_k_clique(g, members[m], k) else 0
-                if value != want:
-                    report.failures.append(
-                        {
-                            "graph": _graph_repr(g),
-                            "k": k,
-                            "side": "truth-table",
-                            "set": members[m],
-                            "expected": want,
-                            "got": value,
-                        }
-                    )
-            qualifying = [c for c in mc if len(c) >= k]
-            depth_cap = 0
-            if qualifying:
-                depth_cap = math.ceil(math.log2(len(mc))) + max(
-                    build_threshold_sort(len(c), k).depth for c in qualifying
-                )
-            if circ.depth > depth_cap:
+    mc = maximal_cliques(g)
+    inputs = [tuple(m >> v & 1 for v in range(g.n)) for m in range(1 << g.n)]
+    members = [[v for v in range(g.n) if m >> v & 1] for m in range(1 << g.n)]
+    for k in range(1, g.n + 1):
+        circ = induced_clique_circuit(g, k)
+        got = evaluate_many(circ, inputs)
+        report.inputs_tested += len(inputs)
+        for m, value in enumerate(got):
+            want = 1 if contains_k_clique(g, members[m], k) else 0
+            if value != want:
                 report.failures.append(
                     {
                         "graph": _graph_repr(g),
                         "k": k,
-                        "side": "depth",
-                        "expected": depth_cap,
-                        "got": circ.depth,
+                        "side": "truth-table",
+                        "set": members[m],
+                        "expected": want,
+                        "got": value,
                     }
                 )
+        qualifying = [c for c in mc if len(c) >= k]
+        depth_cap = 0
+        if qualifying:
+            depth_cap = math.ceil(math.log2(len(mc))) + max(
+                build_threshold_sort(len(c), k).depth for c in qualifying
+            )
+        if circ.depth > depth_cap:
+            report.failures.append(
+                {
+                    "graph": _graph_repr(g),
+                    "k": k,
+                    "side": "depth",
+                    "expected": depth_cap,
+                    "got": circ.depth,
+                }
+            )
 
 
 # ---------------------------------------------------------------------------
-# protocol suites
+# protocol refereeing, and the suite makers that take a game kind
 
 
 def _referee_play(
@@ -432,32 +359,62 @@ def _referee_play(
         )
 
 
+def _make_separation_suite(kind: GameKind):
+    def run(g: Graph, cfg: GameConfig, report: SuiteReport) -> None:
+        idx = nonedges(g)
+        slots = _game_network(g, idx, kind, cfg).slots
+        bound = promise_bound(kind, g)
+        # the sets each side can hold
+        if kind == CLIQUE:
+            alice_sets = bob_sets = _all_cliques(g)
+        else:
+            a_side, b_side = _sides(g, kind)
+            alice_sets = list(_subsets(a_side))
+            # Bob's empty set has no Γ(b) in the relaxed game and crosses nothing in the other
+            bob_sets = (_all_cliques(g) if kind == RELAXED_CLIQUE else list(_subsets(b_side)))[1:]
+        if kind == RELAXED_CLIQUE:
+            bob_vector = partial(relaxed_non_incidence_vector, g)
+        else:
+            bob_vector = non_incidence_vector
+        # each set's vector once per graph; a Bob set too small for every k gets none
+        alice = [(s, incidence_vector(idx, s)) for s in alice_sets if s]
+        bob = [(s, bob_vector(idx, s)) for s in bob_sets if promise_size(kind, slots, len(s)) > bound]
+        for k in range(1, slots + 1):
+            circ = game_circuit(g, idx, kind, k, cfg)
+            accepts = [c for c in alice if len(c[0]) == k]
+            rejects = [c for c in bob if promise_size(kind, k, len(c[0])) > bound]
+            _check_circuit_on(report, g, k, circ, accepts, 1, "accepts")
+            _check_circuit_on(report, g, k, circ, rejects, 0, "rejects")
+
+    run.__doc__ = (
+        f"The round-k circuit of the {kind.name} game accepts the incidence vector "
+        "of every set Alice can hold with k members and rejects Bob's vector of "
+        "every set he can hold that meets the promise with k."
+    )
+    return run
+
+
 def _make_game_suite(kind: GameKind):
-    def run(graphs, cfg: GameConfig, report: SuiteReport) -> None:
-        for g in graphs:
-            if kind.has_handshake and g.bipartition is not None:
-                continue
-            report.graphs_tested += 1
-            # one fresh config per graph keeps the circuit cache to one graph
-            graph_cfg = GameConfig(seed=cfg.seed, oracle_limit=cfg.oracle_limit)
-            bound = bit_bound(kind, g, graph_cfg)
-            report.bound = max(report.bound, bound)
-            for vi in enumerate_valid_inputs(g, kind, graph_cfg):
-                _referee_play(g, kind, vi, graph_cfg, bound, report)
+    def run(g: Graph, cfg: GameConfig, report: SuiteReport) -> None:
+        bound = bit_bound(kind, g, cfg)
+        report.bound = max(report.bound, bound)
+        for vi in enumerate_valid_inputs(g, kind, cfg):
+            _referee_play(g, kind, vi, cfg, bound, report)
 
     run.__doc__ = f"Referee every valid input of the {kind.name} game."
     return run
 
 
+# name -> (the game kind the suite checks, or None; the check of one graph)
 _SUITES = {
-    "incidence-separation": _suite_incidence_separation,
-    "clique-separation": _suite_clique_separation,
-    "relaxed-separation": _suite_relaxed_separation,
-    "induced-clique": _suite_induced_clique,
-    "game-biclique": _make_game_suite(BICLIQUE),
-    "game-clique": _make_game_suite(CLIQUE),
-    "game-relaxed-clique": _make_game_suite(RELAXED_CLIQUE),
-    "game-edge-biclique": _make_game_suite(EDGE_BICLIQUE),
+    "incidence-separation": (BICLIQUE, _make_separation_suite(BICLIQUE)),
+    "clique-separation": (CLIQUE, _make_separation_suite(CLIQUE)),
+    "relaxed-separation": (RELAXED_CLIQUE, _make_separation_suite(RELAXED_CLIQUE)),
+    "induced-clique": (None, _suite_induced_clique),
+    "game-biclique": (BICLIQUE, _make_game_suite(BICLIQUE)),
+    "game-clique": (CLIQUE, _make_game_suite(CLIQUE)),
+    "game-relaxed-clique": (RELAXED_CLIQUE, _make_game_suite(RELAXED_CLIQUE)),
+    "game-edge-biclique": (EDGE_BICLIQUE, _make_game_suite(EDGE_BICLIQUE)),
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -466,13 +423,24 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suite(
     suite: str, graphs: Iterable[Graph], config: Optional[GameConfig] = None
 ) -> SuiteReport:
-    """Run one named suite over a graph catalog; failures are recorded, not raised."""
+    """Run one named suite over a graph catalog; failures are recorded, not raised.
+
+    The clique-style suites skip bipartite-declared graphs, where those games
+    are not defined.  Each graph gets a fresh config with the caller's seed
+    and oracle limit, so the harness caches one graph's circuits at a time
+    and leaves the caller's config untouched.
+    """
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(_SUITES)}")
     cfg = config if config is not None else GameConfig()
+    kind, check = _SUITES[suite]
     report = SuiteReport(suite=suite)
     start = time.perf_counter()
-    _SUITES[suite](list(graphs), cfg, report)
+    for g in graphs:
+        if kind is not None and kind.has_handshake and g.bipartition is not None:
+            continue
+        report.graphs_tested += 1
+        check(g, GameConfig(seed=cfg.seed, oracle_limit=cfg.oracle_limit), report)
     report.wall_time = time.perf_counter() - start
     return report
 

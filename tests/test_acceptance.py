@@ -110,7 +110,13 @@ def test_3_separation_suites(small_catalog, random_67):
     for name in ("incidence-separation", "clique-separation", "relaxed-separation"):
         report = run_suite(name, graphs, GameConfig())
         assert report.passed, (name, report.failures[:3])
+        assert report.graphs_tested == len(graphs) == 1014
         totals[name] = report.inputs_tested
+    assert totals == {
+        "incidence-separation": 222157,
+        "clique-separation": 64478,
+        "relaxed-separation": 92769,
+    }
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0, f"separation suites took {elapsed:.1f}s"
     _report(

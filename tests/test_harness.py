@@ -117,6 +117,21 @@ class TestSuites:
         report = run_suite("game-clique", [bip])
         assert report.graphs_tested == 0
 
+    def test_every_suite_records_on_a_bipartite_graph(self):
+        # the clique-style suites skip it, as their games are undefined there
+        g = graph_from_edges(5, [(0, 3), (1, 3), (1, 4), (2, 4)], bipartition=({0, 1, 2}, {3, 4}))
+        skipped = {"clique-separation", "relaxed-separation", "game-clique", "game-relaxed-clique"}
+        for name in SUITE_NAMES:
+            report = run_suite(name, [g])
+            assert report.passed, (name, report.failures[:3])
+            assert report.graphs_tested == (0 if name in skipped else 1), name
+
+    def test_caller_config_keeps_no_circuits(self):
+        cfg = GameConfig(seed=5)
+        for name in SUITE_NAMES:
+            run_suite(name, catalog_all_graphs(3), cfg)
+        assert cfg.circuit_cache == {}
+
     def test_failures_carry_reproduction_data(self):
         # force a failure by lying about the edge bound via a monkeypatched
         # kind; simpler: check the failure record structure via a contrived
