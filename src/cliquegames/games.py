@@ -36,6 +36,7 @@ from shared data instead of exchanging them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -101,6 +102,11 @@ class GameKind:
     @property
     def crossing_goal(self) -> bool:
         return self.name in ("biclique", "edge-biclique")
+
+    def undefined_on(self, g: Graph) -> bool:
+        """True if ``g`` rules this game out: the clique-style games need the
+        full nonedge space, and a bipartition declaration restricts it."""
+        return self.has_handshake and g.bipartition is not None
 
 
 BICLIQUE = GameKind("biclique")
@@ -213,11 +219,13 @@ class SeparatorNetwork:
     A network over vertex monomials also gets ``vertices``, the vertex of
     each slot, and records for ``_Party`` the id of each slot's monomial in
     each k's circuit: ``roots[k][i]``, -1 where pruned.  Those ids split the
-    circuit in two layers.  Only graft gates refer to monomial-tree nodes,
-    and only to roots; each root is the largest id in its own tree and
+    circuit in layers.  Only graft gates refer to monomial-tree nodes, and
+    only to roots; each root is the largest id in its own tree and
     renumbering keeps the order, so the ids up to the largest root are
-    exactly the kept monomial-tree nodes, and every id above is graft.  A
-    threshold circuit keeps every slot, so all its k share one tuple.
+    exactly the kept monomial-tree nodes.  Above them come the grafts, back
+    to back in the order they were built, and then the clique family's OR
+    tree.  A threshold circuit keeps every slot, so all its k share one
+    tuple.  ``grafts(k)`` locates each graft's root for the plays.
     """
 
     def __init__(
@@ -236,6 +244,7 @@ class SeparatorNetwork:
         self.circuits: dict[int, Circuit] = {}
         self.roots: list[tuple[int, ...] | None] = [None] * (slots + 1)
         self._masks: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        self._grafts: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._builder = CircuitBuilder(var_count)
         self._leaves = leaves
         self._leaf: Callable[[int], int] | None = None
@@ -252,7 +261,7 @@ class SeparatorNetwork:
             b.share()
         leaf = self._leaf
         if self.family == "clique":
-            qualifying = [c for c in maximal_cliques(self.g) if len(c) >= k]
+            qualifying = self._qualifying(k)
             if qualifying:
                 out = b.or_tree(
                     [b.graft(build_threshold_sort(len(c), k), [leaf(v) for v in c]) for c in qualifying]
@@ -271,6 +280,10 @@ class SeparatorNetwork:
             self._builder = self._leaves = self._leaf = None
         return circ
 
+    def _qualifying(self, k: int) -> list[tuple[int, ...]]:
+        """The clique family's grafts in round k: each maximal clique of at least k vertices."""
+        return [c for c in maximal_cliques(self.g) if len(c) >= k]
+
     def monomial_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Per slot, the bit of its vertex and the mask of its nonedge partners.
 
@@ -285,6 +298,44 @@ class SeparatorNetwork:
             self._masks = bits, tuple(space & ~g.adj[v] & ~bit for v, bit in zip(self.vertices, bits))
         return self._masks
 
+    def grafts(self, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per graft of round k's circuit: its root id and the slot mask of its inputs.
+
+        Built on a party's first request for k, like ``monomial_masks``.
+        The clique family has one graft per maximal clique of at least k
+        vertices, in ``maximal_cliques`` order; the threshold family one
+        over every slot, whose root is the output.  Left out are a graft
+        without gates (threshold-1 of one slot is that slot's root) and a
+        constant output.  The grafts lie back to back above the monomial
+        trees, so each one's gates are the ids after the previous root up
+        to its own.
+        """
+        table = self._grafts.get(k)
+        if table is None:
+            table = self._grafts[k] = self._graft_table(k)
+        return table
+
+    def _graft_table(self, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        circ = self.circuit(k)
+        lead = max(self.roots[k]) + 1
+        if self.family != "clique":
+            return ((circ.output,), ((1 << self.slots) - 1,)) if circ.output >= lead else ((), ())
+        qualifying = self._qualifying(k)
+        if not qualifying:
+            return (), ()
+        ends, masks = [], []
+        node = lead - 1
+        for c in qualifying:
+            size = build_threshold_sort(len(c), k).size
+            if size:
+                node += size
+                ends.append(node)
+                masks.append(_mask(c))
+        # then the OR tree over the grafts: one OR gate fewer than grafts
+        if len(circ.gates) != node + len(qualifying):
+            raise CircuitInvariantError(f"round-{k} circuit does not have the graft layout")
+        return tuple(ends), tuple(masks)
+
 
 def _monomial_network(g: Graph, idx: NonedgeIndex, family: str) -> SeparatorNetwork:
     """The network of game circuits over the vertex monomials of ``g``.
@@ -293,8 +344,6 @@ def _monomial_network(g: Graph, idx: NonedgeIndex, family: str) -> SeparatorNetw
     monomial universe) or ``"clique"`` (the induced-k-clique circuit applied
     to the monomials of every vertex).
     """
-    if family == "clique" and g.bipartition is not None:
-        raise ValueError("clique games need the full nonedge space; drop the bipartition")
     universe = range(g.n) if family == "clique" else monomial_universe(g)
     return SeparatorNetwork(
         g,
@@ -331,9 +380,10 @@ def monomial_clique_circuit(g: Graph, idx: NonedgeIndex, k: int) -> Circuit:
 
     Equivalent to the OR of monomials over k-cliques only, which is what the
     clique game needs: a clique ``b`` that shares no vertex with a clique
-    ``c`` and satisfies the promise always kills every monomial.
+    ``c`` and satisfies the promise always kills every monomial.  Like the
+    game, it rejects a bipartite-declared graph.
     """
-    return _monomial_network(g, idx, "clique").circuit(k)
+    return game_circuit(g, idx, CLIQUE, k, GameConfig())
 
 
 # --------------------------------------------------------------------------
@@ -422,6 +472,8 @@ def _family(kind: GameKind) -> str:
 
 
 def _game_network(g: Graph, idx: NonedgeIndex, kind: GameKind, cfg: GameConfig) -> SeparatorNetwork:
+    if kind.undefined_on(g):
+        raise ValueError("clique games need the full nonedge space; drop the bipartition")
     family = _family(kind)
     key = (g, family)
     net = cfg.circuit_cache.get(key)
@@ -457,10 +509,15 @@ class _Party:
     A party never builds its vector over the nonedges.  Every node is an
     AND or OR of variables, and a party's value on a variable, or on the
     AND of all variables at one vertex, follows from its own set mask and
-    that vertex's nonedge-partner mask (``_holds``).  So ``prepare`` sets
-    the slot roots from the masks and evaluates the gates above them in
-    one flat pass; the monomial-tree nodes below the roots are evaluated
-    only when the walk reads them (``_value``).
+    that vertex's nonedge-partner mask (``_holds``).  So ``prepare``
+    evaluates in three layers.  It sets the slot roots from the masks; it
+    sets each graft root from the threshold count of the slots that hold
+    (``SeparatorNetwork.grafts``), since a graft is exactly threshold-k of
+    its inputs; and it evaluates the clique family's OR tree above the
+    grafts in one flat pass.  The rest is evaluated only when the walk
+    reads it (``_value``): a node of a graft evaluates that whole graft in
+    one flat pass, which must reproduce the root's seeded value, and a
+    node of a monomial tree is evaluated from its own variables.
     """
 
     def __init__(self, role: str, g: Graph, idx: NonedgeIndex, own: frozenset, kind: GameKind, cfg: GameConfig):
@@ -475,6 +532,10 @@ class _Party:
         self.mask = 0
         self.gamma = 0
         self.vals: list[int | None] | None = None
+        # set by ``prepare``: the round, which slots hold, where the grafts lie
+        self.k = self.ones = self.lead = 0
+        self.ends: tuple[int, ...] = ()
+        self.slot_masks: tuple[int, ...] = ()
 
     def say(self, meaning: str, width: int, node: int | None) -> str:
         """This party's bits for one message of ``_protocol``."""
@@ -511,12 +572,33 @@ class _Party:
         if self.role == "B" and self.kind.name == "relaxed-clique":
             self.gamma = _gamma_mask(self.g, self.mask)
         roots = net.roots[k]
-        gates = circ.gates
-        vals = self.vals = [None] * len(gates)
-        for node, bit, partners in zip(roots, *net.monomial_masks()):
+        vals = self.vals = [None] * len(circ.gates)
+        ones = 0
+        for slot, (node, bit, partners) in enumerate(zip(roots, *net.monomial_masks())):
+            # a pruned slot still counts: a constant-1 monomial folds away
+            val = self._holds(bit, partners)
+            ones |= val << slot
             if node >= 0:
-                vals[node] = self._holds(bit, partners)
-        for i in range(max(roots) + 1, len(gates)):
+                vals[node] = val
+        self.k, self.ones, self.lead = k, ones, max(roots) + 1
+        self.ends, self.slot_masks = ends, slot_masks = net.grafts(k)
+        if not ends:
+            # no graft to seed: the output is a slot root or a constant
+            self._evaluate(self.lead, len(vals))
+        elif ends[-1] + 1 < len(vals):
+            # the OR tree over the grafts reads the seeded roots; the walk
+            # reads them only through ``_graft``, which checks them
+            for node, m in zip(ends, slot_masks):
+                vals[node] = 1 if (ones & m).bit_count() >= k else 0
+            self._evaluate(ends[-1] + 1, len(vals))
+            for node in ends:
+                vals[node] = None
+
+    def _evaluate(self, start: int, stop: int) -> None:
+        """One flat pass over nodes ``start`` to ``stop - 1``, all above the monomial trees."""
+        gates = self.circuit.gates
+        vals = self.vals
+        for i in range(start, stop):
             gate = gates[i]
             op = gate[0]
             if op == AND:
@@ -526,9 +608,20 @@ class _Party:
             else:  # a constant: every variable sits in the monomial trees
                 vals[i] = gate[1]
 
+    def _graft(self, j: int) -> None:
+        """Evaluate graft ``j`` in one flat pass and check its root against the seed."""
+        root = self.ends[j]
+        self._evaluate(self.ends[j - 1] + 1 if j else self.lead, root + 1)
+        if self.vals[root] != ((self.ones & self.slot_masks[j]).bit_count() >= self.k):
+            raise CircuitInvariantError("a graft disagrees with the threshold count of its inputs")
+
     def _value(self, node: int) -> int:
         val = self.vals[node]
         if val is None:
+            if node >= self.lead:
+                # a node of a graft the walk has not entered yet
+                self._graft(bisect_left(self.ends, node))
+                return self.vals[node]
             # a node of a monomial tree below the slot roots
             gate = self.circuit.gates[node]
             if gate[0] == VAR:
@@ -697,7 +790,7 @@ def _check_structure(kind: GameKind, g: Graph, a: frozenset, b: frozenset) -> No
         raise PromiseViolationError("rejected input: the two sets intersect")
     if has_complete_star(g):
         raise ValueError("graph has a complete star; apply strip_stars first")
-    if kind.has_handshake and g.bipartition is not None:
+    if kind.undefined_on(g):
         raise ValueError(
             "clique games need the full nonedge space; load the graph without "
             "the bipartition declaration"

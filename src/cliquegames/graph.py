@@ -101,6 +101,13 @@ class Graph:
         return tuple(masks)
 
     @cached_property
+    def complete_star(self) -> bool:
+        """True if some vertex is adjacent to all other vertices (see ``has_complete_star``)."""
+        if self.n < 2:
+            return self.n == 1
+        return any(self.degree(v) == self.n - 1 for v in range(self.n))
+
+    @cached_property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
@@ -447,5 +454,5 @@ def max_edge_biclique(g: Graph, limit: int = 16) -> int:
 
 
 def has_complete_star(g: Graph) -> bool:
-    """True if some vertex is adjacent to all other vertices."""
-    return any(g.degree(v) == g.n - 1 for v in range(g.n)) if g.n >= 2 else g.n == 1
+    """True if some vertex is adjacent to all other vertices (memoized on ``g``)."""
+    return g.complete_star

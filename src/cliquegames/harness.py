@@ -166,7 +166,7 @@ def enumerate_valid_inputs(
         raise OracleLimitError(
             f"oracle limit: cannot enumerate valid inputs for n = {g.n} > {cfg.oracle_limit}"
         )
-    if kind.has_handshake and g.bipartition is not None:
+    if kind.undefined_on(g):
         raise ValueError("clique games are not defined on bipartite-declared graphs")
 
     bound = promise_bound(kind, g)
@@ -437,7 +437,7 @@ def run_suite(
     report = SuiteReport(suite=suite)
     start = time.perf_counter()
     for g in graphs:
-        if kind is not None and kind.has_handshake and g.bipartition is not None:
+        if kind is not None and kind.undefined_on(g):
             continue
         report.graphs_tested += 1
         check(g, GameConfig(seed=cfg.seed, oracle_limit=cfg.oracle_limit), report)

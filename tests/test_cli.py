@@ -89,6 +89,15 @@ class TestBuildCircuitCommand:
         assert obj["depth"] == 4 and obj["k"] == 2
         parse_circuit(obj["circuit"], var_count=3)
 
+    @pytest.mark.parametrize("game", ["clique", "relaxed-clique"])
+    def test_clique_games_rejected_on_bipartite_graph(self, tmp_path, capsys, game):
+        path = tmp_path / "bip.col"
+        path.write_text("p edge 5 4\nb 3\ne 1 4\ne 2 4\ne 2 5\ne 3 5\n")
+        assert main(["build-circuit", str(path), "--game", game, "--k", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "clique games need the full nonedge space" in captured.err
+
 
 class TestStatsCommand:
     def test_p4(self, p4_file, capsys):

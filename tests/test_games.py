@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -58,6 +59,7 @@ from cliquegames.harness import (
     enumerate_valid_inputs,
     path_graph,
     random_graph,
+    run_suite,
 )
 
 from brute import (
@@ -180,6 +182,13 @@ class TestSeparatorCircuits:
         star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
         with pytest.raises(ValueError, match="strip"):
             monomial_threshold_circuit(star, nonedges(star), 1)
+
+    def test_clique_circuit_rejects_bipartite_graph(self):
+        g = graph_from_edges(
+            5, [(0, 3), (1, 3), (1, 4), (2, 4)], bipartition=({0, 1, 2}, {3, 4})
+        )
+        with pytest.raises(ValueError, match="full nonedge space"):
+            monomial_clique_circuit(g, nonedges(g), 2)
 
 
 def _assert_matches_reference(g, cfg):
@@ -386,6 +395,99 @@ class TestTwoLayerEvaluation:
             cfg = GameConfig()
             for a, b in _random_inputs(g, random.Random(7), 10, cliques=kind != BICLIQUE):
                 _outcome_or_error(lambda: play(kind, g, a, b, cfg))
+
+
+def _walk_inputs(g, kind, cfg):
+    # inputs a clique-style handshake settles never reach the circuit
+    return [
+        (vi.a, vi.b)
+        for vi in enumerate_valid_inputs(g, kind, cfg)
+        if vi.both_cliques or kind.crossing_goal
+    ]
+
+
+def _graft_tables(cfg):
+    return {key[1]: net._grafts for key, net in cfg.circuit_cache.items() if key[0] != "nonedges"}
+
+
+class TestGraftSeeds:
+    """A party seeds each graft root from the threshold count of its inputs
+    and evaluates a graft's gates only when the walk enters it, checking the
+    seeded root there; the graft tables behind this exist only for plays."""
+
+    def test_wrong_threshold_fails_loudly(self, monkeypatch):
+        # every graft computes threshold-(k + 1) while the seeds count to k
+        honest = build_threshold_sort
+        monkeypatch.setattr(
+            games_module, "build_threshold_sort", lambda s, k: honest(s, min(k + 1, s))
+        )
+        root_checks = 0
+        for g in catalog_all_graphs(4):
+            for kind in ALL_KINDS:
+                cfg = GameConfig()
+                for a, b in _walk_inputs(g, kind, cfg):
+                    try:
+                        out = play(kind, g, a, b, cfg)
+                    except SeparationError:
+                        continue
+                    except CircuitInvariantError as exc:
+                        root_checks += "threshold count" in str(exc)
+                        continue
+                    assert legal_answer(kind, g, a, b, out.nonedge), (kind.name, sorted(g.edges), a, b)
+        assert root_checks > 0
+
+    def test_every_graft_the_walk_enters_is_checked(self, monkeypatch):
+        reads, checked = [], set()
+        value, graft = games_module._Party._value, games_module._Party._graft
+
+        def reading(party, node):
+            reads.append((party, node))
+            return value(party, node)
+
+        def checking(party, j):
+            checked.add((id(party), j))
+            return graft(party, j)
+
+        monkeypatch.setattr(games_module._Party, "_value", reading)
+        monkeypatch.setattr(games_module._Party, "_graft", checking)
+        for g in catalog_all_graphs(4):
+            for kind in ALL_KINDS:
+                cfg = GameConfig()
+                for a, b in _walk_inputs(g, kind, cfg):
+                    play(kind, g, a, b, cfg)
+        # a read at or below a graft root, seeded or not, must have run its check
+        entered = {
+            (id(party), bisect_left(party.ends, node))
+            for party, node in reads
+            if party.ends and party.lead <= node <= party.ends[-1]
+        }
+        assert entered and entered <= checked
+
+    def test_graft_tables_are_play_only(self, monkeypatch):
+        g, _ = strip_stars(random_graph(8, 0.5, random.Random(8)))
+        idx = nonedges(g)
+        cfg = GameConfig()
+        for kind in (BICLIQUE, CLIQUE):
+            bit_bound(kind, g, cfg)
+            for k in range(1, g.n + 1):
+                game_circuit(g, idx, kind, k, cfg)
+        assert _graft_tables(cfg) == {"threshold": {}, "clique": {}}
+
+        def forbidden(net, k):
+            raise AssertionError("a circuit-only network built a graft table")
+
+        with monkeypatch.context() as m:
+            m.setattr(games_module.SeparatorNetwork, "_graft_table", forbidden)
+            for suite in ("incidence-separation", "clique-separation", "relaxed-separation"):
+                assert run_suite(suite, catalog_all_graphs(4)).passed
+
+        # the reference evaluates every node itself and reads no table
+        a, b = _walk_inputs(g, CLIQUE, GameConfig())[0]
+        reference_play(CLIQUE, g, a, b, cfg)
+        assert _graft_tables(cfg) == {"threshold": {}, "clique": {}}
+        play(CLIQUE, g, a, b, cfg)
+        tables = _graft_tables(cfg)
+        assert tables["threshold"] == {} and list(tables["clique"]) == [len(a)]
 
 
 class TestInducedCliqueCircuit:
