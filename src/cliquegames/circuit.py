@@ -8,9 +8,10 @@ path; size counts AND/OR gates.
 Two constructors compute the threshold function ("at least k of n inputs
 are 1"):
 
-* ``build_threshold_sort`` wires a Batcher odd-even merge sorting network
-  out of comparator gadgets (OR = max, AND = min) and reads the k-th
-  largest wire.  Deterministic, depth O(log^2 n), works at any size.
+* ``build_threshold_sort`` reads the k-th largest wire of a Batcher
+  odd-even merge sorting network built out of comparator gadgets (OR = max,
+  AND = min).  ``threshold_network`` keeps the whole network, every k's
+  wire at once.  Deterministic, depth O(log^2 n), works at any size.
 * ``build_threshold_valiant`` reduces the threshold to majority by padding
   with constant leaves, then amplifies with a complete ternary tree of
   3-input majority gadgets whose leaves are independently uniform random
@@ -81,15 +82,21 @@ class Circuit:
 
     @cached_property
     def depth(self) -> int:
-        depths = [0] * len(self.gates)
-        for i, gate in enumerate(self.gates):
-            if gate[0] in (AND, OR):
-                depths[i] = 1 + max(depths[gate[1]], depths[gate[2]])
-        return depths[self.output]
+        return node_depths(self.gates)[self.output]
 
     @cached_property
     def size(self) -> int:
         return sum(1 for gate in self.gates if gate[0] in (AND, OR))
+
+
+def node_depths(gates: Sequence[Gate]) -> list[int]:
+    """Depth of every node of a gate array, in one pass."""
+    depths = [0] * len(gates)
+    for i, gate in enumerate(gates):
+        if gate[0] in (AND, OR):
+            left, right = depths[gate[1]], depths[gate[2]]
+            depths[i] = (left if left > right else right) + 1
+    return depths
 
 
 def node_values(c: Circuit, x: Bits) -> list[int]:
@@ -178,6 +185,9 @@ class CircuitBuilder:
         self._shared = 0
         self._shared_cones: dict[int, frozenset[int]] = {}
 
+    def __len__(self) -> int:
+        return len(self._gates)
+
     def _append(self, gate: Gate) -> int:
         self._gates.append(gate)
         return len(self._gates) - 1
@@ -238,12 +248,13 @@ class CircuitBuilder:
         """Balanced OR over ``nodes``; depth ceil(log2(len))."""
         return self._tree(self.or_, nodes)
 
-    def graft(self, sub: Circuit, inputs: Sequence[int]) -> int:
+    def graft(self, sub: Circuit, inputs: Sequence[int]) -> list[int]:
         """Copy ``sub`` into this builder with its variables replaced.
 
         ``inputs[i]`` is the node standing in for variable i of ``sub``;
         constant folding re-applies, so grafting onto constant inputs
-        simplifies on the fly.
+        simplifies on the fly.  Returns the node standing in for each node
+        of ``sub``, its output and any other node alike.
         """
         if len(inputs) != sub.var_count:
             raise ValueError("graft requires one input node per variable")
@@ -258,7 +269,11 @@ class CircuitBuilder:
                 remap.append(self.and_(remap[gate[1]], remap[gate[2]]))
             else:
                 remap.append(self.or_(remap[gate[1]], remap[gate[2]]))
-        return remap[sub.output]
+        return remap
+
+    def snapshot(self, output: int) -> Circuit:
+        """Every node built so far, unpruned and in order, as one (validated) circuit."""
+        return Circuit(gates=tuple(self._gates), output=output, var_count=self.var_count)
 
     def share(self) -> None:
         """Mark every node built so far as common to the outputs built next."""
@@ -355,12 +370,14 @@ def comparator_depths(width: int) -> list[int]:
 
 
 @lru_cache(maxsize=16)
-def _sorted_wires(n: int) -> tuple[CircuitBuilder, list[int]]:
-    """One sorting network over n inputs; wire ``len(wires) - k`` is threshold-k.
+def threshold_network(n: int) -> tuple[Circuit, tuple[int, ...]]:
+    """One sorting network over n inputs, and its threshold nodes.
 
-    Inputs are padded with constant-0 wires up to the next power of two;
-    constant propagation removes every comparator that only shuffles pads.
-    The builder is only ever read afterwards, so one network serves every k.
+    Node ``thresholds[k - 1]`` of the circuit is threshold-k, the k-th
+    largest wire; the circuit's output is threshold-1.  Inputs are padded
+    with constant-0 wires up to the next power of two; constant propagation
+    removes every comparator that only shuffles pads.  The circuit keeps
+    every node, so one network serves every k.
     """
     width = 1 << (n - 1).bit_length() if n > 1 else 1
     b = CircuitBuilder(n)
@@ -369,17 +386,19 @@ def _sorted_wires(n: int) -> tuple[CircuitBuilder, list[int]]:
         lo = b.and_(wires[i], wires[j])
         hi = b.or_(wires[i], wires[j])
         wires[i], wires[j] = lo, hi
-    return b, wires
+    thresholds = tuple(wires[width - k] for k in range(1, n + 1))
+    return b.snapshot(thresholds[0]), thresholds
 
 
-# room for every k of a 128-input network plus the small widths of cliques
-@lru_cache(maxsize=256)
+# the induced-clique suite asks for the small widths of cliques again and again
+@lru_cache(maxsize=64)
 def build_threshold_sort(n: int, k: int) -> Circuit:
     """Threshold via a sorting network: the k-th largest of n wires (memoized)."""
     if not 1 <= k <= n:
         raise ValueError(f"threshold arity out of range: k={k}, n={n}")
-    b, wires = _sorted_wires(n)
-    return b.build(wires[len(wires) - k])
+    network, thresholds = threshold_network(n)
+    b = CircuitBuilder(n)
+    return b.build(b.graft(network, [b.var(i) for i in range(n)])[thresholds[k - 1]])
 
 
 def _majority_padding(n: int, k: int) -> tuple[int, int]:

@@ -36,9 +36,10 @@ from shared data instead of exchanging them.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .circuit import (
     AND,
@@ -48,8 +49,10 @@ from .circuit import (
     Circuit,
     CircuitBuilder,
     CircuitInvariantError,
-    build_threshold_sort,
+    Gate,
+    node_depths,
     node_values,
+    threshold_network,
 )
 from .graph import (
     Graph,
@@ -201,31 +204,42 @@ def _vertex_monomials(b: CircuitBuilder, g: Graph, idx: NonedgeIndex, vertices) 
     return monomials
 
 
-class SeparatorNetwork:
-    """Every k's separator circuit of one (graph, family), on one shared builder.
+class Graft(NamedTuple):
+    """One whole sorting network in a ``SeparatorNetwork``'s array, over a group of slots."""
 
-    ``leaves(b)`` builds one input node per vertex slot on the builder ``b``
-    and returns the lookup from slot to node: the vertex monomials for game
-    circuits, plain vertex variables for ``induced_clique_circuit``.  It runs
-    once, on the first request.  Each new k then grafts the (slots, k)
-    sorting-network threshold onto those nodes -- for the clique family,
-    one graft per maximal clique with at least k members, under an OR tree
-    -- and keeps the pruned cone of that output.  Grafts never share gates,
-    so the cone is exactly the circuit a fresh builder would produce for
-    that k alone.
-    Once every k has been built the builder is dropped, so a finished
-    network holds only its circuits.
+    start: int  # its first node; it ends where the next graft, or the first OR tree, starts
+    slots: tuple[int, ...]  # the slot feeding each of its inputs
+    mask: int  # the same slots as a bitmask
+    roots: tuple[int, ...]  # roots[k - 1] is its threshold-k node
+
+
+class SeparatorNetwork:
+    """Every k's separator circuit of one (graph, family), in one gate array.
+
+    The array is built on the first request.  ``leaves(b)`` builds one input
+    node per slot on the builder ``b`` and returns them: the vertex
+    monomials for game circuits, plain vertex variables for
+    ``induced_clique_circuit``.  Those nodes and the trees under them are the
+    prefix, the ids below ``lead``.  Above it lie the grafts, back to back:
+    one whole sorting network (``threshold_network``) per group of slots,
+    where the threshold family has one group of every slot and the clique
+    family one per maximal clique, in ``maximal_cliques`` order.  Each is
+    recorded as it is grafted (``Graft``).  Last come the OR trees, for
+    k = 1..slots: round k's is the OR of the threshold-k node of every
+    group with at least k slots (an OR of one node adds no gate), and its
+    root is ``outputs[k]``; it starts at ``tree_starts[k]``.
+
+    ``circuit(k)`` extracts round k's pruned, renumbered cone on every
+    call; the network keeps none of them.  Constant folding acts gate by
+    gate and grafts never share gates, so the cone is exactly the circuit
+    a fresh builder would produce for that k alone, grafting only each
+    network's threshold-k cone.  The array is validated once, as one
+    circuit (``array``), and ``depth`` comes from one pass over it.
 
     A network over vertex monomials also gets ``vertices``, the vertex of
-    each slot, and records for ``_Party`` the id of each slot's monomial in
-    each k's circuit: ``roots[k][i]``, -1 where pruned.  Those ids split the
-    circuit in layers.  Only graft gates refer to monomial-tree nodes, and
-    only to roots; each root is the largest id in its own tree and
-    renumbering keeps the order, so the ids up to the largest root are
-    exactly the kept monomial-tree nodes.  Above them come the grafts, back
-    to back in the order they were built, and then the clique family's OR
-    tree.  A threshold circuit keeps every slot, so all its k share one
-    tuple.  ``grafts(k)`` locates each graft's root for the plays.
+    each slot.  Plays read it through tables built on a party's first
+    request (``monomial_masks``, ``round``, ``cone``), so networks that only
+    serve circuits never hold one.
     """
 
     def __init__(
@@ -234,62 +248,66 @@ class SeparatorNetwork:
         family: str,
         slots: int,
         var_count: int,
-        leaves: Callable[[CircuitBuilder], Callable[[int], int]],
+        leaves: Callable[[CircuitBuilder], list[int]],
         vertices: Sequence[int] = (),
     ):
         self.g = g
         self.family = family
         self.slots = slots
         self.vertices = vertices
-        self.circuits: dict[int, Circuit] = {}
-        self.roots: list[tuple[int, ...] | None] = [None] * (slots + 1)
-        self._masks: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-        self._grafts: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        self._builder = CircuitBuilder(var_count)
+        self.gates: tuple[Gate, ...] | None = None
+        self._var_count = var_count
         self._leaves = leaves
-        self._leaf: Callable[[int], int] | None = None
+        self._masks: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        self._rounds: dict[int, RoundTable] = {}
 
-    def circuit(self, k: int) -> Circuit:
-        circ = self.circuits.get(k)
-        if circ is not None:
-            return circ
+    def _build(self) -> None:
+        b = CircuitBuilder(self._var_count)
+        self.slot_nodes = slot_nodes = self._leaves(b)
+        b.share()
+        self.lead = len(b)
+        groups = maximal_cliques(self.g) if self.family == "clique" else [tuple(range(self.slots))]
+        self.grafts = []
+        for group in groups:
+            network, thresholds = threshold_network(len(group))
+            start = len(b)
+            nodes = b.graft(network, [slot_nodes[s] for s in group])
+            self.grafts.append(Graft(start, tuple(group), _mask(group), tuple(nodes[t] for t in thresholds)))
+        self.graft_starts = [graft.start for graft in self.grafts]
+        self.outputs, self.tree_starts = [-1], [-1]
+        for k in range(1, self.slots + 1):
+            roots = [graft.roots[k - 1] for graft in self.grafts if len(graft.roots) >= k]
+            self.tree_starts.append(len(b))
+            self.outputs.append(b.or_tree(roots) if roots else b.const(0))
+        self.array = b.snapshot(len(b) - 1)
+        self.gates = self.array.gates
+        self._builder = b
+
+    def output(self, k: int) -> int:
+        """The root of round k's circuit in the array."""
         if not 1 <= k <= self.slots:
             raise ValueError(f"k={k} out of range 1..{self.slots}")
-        b = self._builder
-        if self._leaf is None:
-            self._leaf = self._leaves(b)
-            b.share()
-        leaf = self._leaf
-        if self.family == "clique":
-            qualifying = self._qualifying(k)
-            if qualifying:
-                out = b.or_tree(
-                    [b.graft(build_threshold_sort(len(c), k), [leaf(v) for v in c]) for c in qualifying]
-                )
-            else:
-                out = b.const(0)
-        else:
-            out = b.graft(build_threshold_sort(self.slots, k), [leaf(i) for i in range(self.slots)])
-        # no roots over plain variables, where asking for a leaf creates one
-        ids = [leaf(i) for i in range(len(self.vertices))]
-        circ = self.circuits[k] = b.build(out, ids)
-        roots = tuple(ids)
-        # one shared tuple while consecutive k keep the same slots
-        self.roots[k] = self.roots[k - 1] if roots == self.roots[k - 1] else roots
-        if len(self.circuits) == self.slots:
-            self._builder = self._leaves = self._leaf = None
-        return circ
+        if self.gates is None:
+            self._build()
+        return self.outputs[k]
 
-    def _qualifying(self, k: int) -> list[tuple[int, ...]]:
-        """The clique family's grafts in round k: each maximal clique of at least k vertices."""
-        return [c for c in maximal_cliques(self.g) if len(c) >= k]
+    def circuit(self, k: int) -> Circuit:
+        """Round k's circuit: the cone of its root, pruned and renumbered."""
+        out = self.output(k)
+        return self._builder.build(out)
+
+    @cached_property
+    def depth(self) -> int:
+        """The deepest round's circuit depth, from one pass over the array."""
+        if not self.slots:
+            return 0
+        if self.gates is None:
+            self._build()
+        depths = node_depths(self.gates)
+        return max(depths[out] for out in self.outputs[1:])
 
     def monomial_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Per slot, the bit of its vertex and the mask of its nonedge partners.
-
-        Built on the first call: only plays need them, and networks that
-        only serve circuits (the separator suites) never pay for them.
-        """
+        """Per slot, the bit of its vertex and the mask of its nonedge partners."""
         if self._masks is None:
             g = self.g
             # nonedges run between any two vertices, or across the parts
@@ -298,43 +316,91 @@ class SeparatorNetwork:
             self._masks = bits, tuple(space & ~g.adj[v] & ~bit for v, bit in zip(self.vertices, bits))
         return self._masks
 
-    def grafts(self, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Per graft of round k's circuit: its root id and the slot mask of its inputs.
-
-        Built on a party's first request for k, like ``monomial_masks``.
-        The clique family has one graft per maximal clique of at least k
-        vertices, in ``maximal_cliques`` order; the threshold family one
-        over every slot, whose root is the output.  Left out are a graft
-        without gates (threshold-1 of one slot is that slot's root) and a
-        constant output.  The grafts lie back to back above the monomial
-        trees, so each one's gates are the ids after the previous root up
-        to its own.
-        """
-        table = self._grafts.get(k)
+    def round(self, k: int) -> RoundTable:
+        """Round k's play table, built on a party's first request for k."""
+        table = self._rounds.get(k)
         if table is None:
-            table = self._grafts[k] = self._graft_table(k)
+            root = self.output(k)
+            grafts = [graft for graft in self.grafts if len(graft.roots) >= k]
+            tree = _block(self.gates, [graft.roots[k - 1] for graft in grafts], root, self.tree_starts[k])
+            if not tree.program:
+                # an OR over one group, or none: the root is that group's node or a constant
+                grafts, tree = [], None
+            table = self._rounds[k] = RoundTable(tuple(graft.mask for graft in grafts), tree, {})
         return table
 
-    def _graft_table(self, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        circ = self.circuit(k)
-        lead = max(self.roots[k]) + 1
-        if self.family != "clique":
-            return ((circ.output,), ((1 << self.slots) - 1,)) if circ.output >= lead else ((), ())
-        qualifying = self._qualifying(k)
-        if not qualifying:
-            return (), ()
-        ends, masks = [], []
-        node = lead - 1
-        for c in qualifying:
-            size = build_threshold_sort(len(c), k).size
-            if size:
-                node += size
-                ends.append(node)
-                masks.append(_mask(c))
-        # then the OR tree over the grafts: one OR gate fewer than grafts
-        if len(circ.gates) != node + len(qualifying):
-            raise CircuitInvariantError(f"round-{k} circuit does not have the graft layout")
-        return tuple(ends), tuple(masks)
+    def cone(self, j: int, k: int) -> Block:
+        """Graft ``j``'s gates under its threshold-k node, as a block over its slots."""
+        cones = self.round(k).cones
+        block = cones.get(j)
+        if block is None:
+            graft = self.grafts[j]
+            inputs = [self.slot_nodes[s] for s in graft.slots]
+            block = cones[j] = _block(self.gates, inputs, graft.roots[k - 1], graft.start)
+        return block
+
+
+class Block(NamedTuple):
+    """Gates from one node up, renumbered for ``_run``: a flat pass over a local list.
+
+    The list starts with the values of the block's inputs; node n sits at
+    n - ``base``.  ``program`` holds one (position, is AND, left, right)
+    per gate, in order.
+    """
+
+    program: tuple[tuple[int, bool, int, int], ...]
+    base: int
+    length: int
+
+
+class RoundTable(NamedTuple):
+    """What a play of round k reads of its network beyond the slot masks.
+
+    ``masks`` holds the slot mask of each group with at least k slots,
+    whose threshold-k nodes are the inputs of ``tree``, round k's OR tree,
+    in that order; ``masks`` is empty and ``tree`` None when the tree has no
+    gate.  ``cones[j]`` is graft j's round-k cone, added the first time a
+    walk enters the graft.
+    """
+
+    masks: tuple[int, ...]
+    tree: Block | None
+    cones: dict[int, Block]
+
+
+def _cone_from(gates: Sequence[Gate], root: int, start: int) -> list[int]:
+    """The nodes from ``start`` up that ``root`` reaches without going below ``start``, in order."""
+    seen = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node >= start and node not in seen:
+            seen.add(node)
+            stack.extend(gates[node][1:] if gates[node][0] in (AND, OR) else ())
+    return sorted(seen)
+
+
+def _block(gates: Sequence[Gate], inputs: Sequence[int], root: int, start: int) -> Block:
+    """The gates from ``start`` up under ``root`` as a ``Block`` over ``inputs``."""
+    ids = _cone_from(gates, root, start)
+    base = start - len(inputs)
+    pos = {node: i for i, node in enumerate(inputs)}
+    program = []
+    for node in ids:
+        gate = gates[node]
+        if gate[0] not in (AND, OR):
+            raise CircuitInvariantError(f"node {node} above the slots is a {gate[0]} leaf")
+        pos[node] = node - base
+        program.append((node - base, gate[0] == AND, pos[gate[1]], pos[gate[2]]))
+    return Block(tuple(program), base, ids[-1] - base + 1 if ids else len(inputs))
+
+
+def _run(inputs: list[int], block: Block) -> list[int]:
+    """One flat pass over ``block``, given its inputs' values; returns its local list."""
+    vals = inputs + [None] * (block.length - len(inputs))
+    for out, is_and, left, right in block.program:
+        vals[out] = vals[left] & vals[right] if is_and else vals[left] | vals[right]
+    return vals
 
 
 def _monomial_network(g: Graph, idx: NonedgeIndex, family: str) -> SeparatorNetwork:
@@ -350,7 +416,7 @@ def _monomial_network(g: Graph, idx: NonedgeIndex, family: str) -> SeparatorNetw
         family,
         len(universe),
         len(idx),
-        lambda b: _vertex_monomials(b, g, idx, universe).__getitem__,
+        lambda b: _vertex_monomials(b, g, idx, universe),
         universe,
     )
 
@@ -372,7 +438,13 @@ def induced_clique_circuit(g: Graph, k: int) -> Circuit:
     maximal cliques of size >= k, a threshold-k circuit restricted to that
     clique's variables.  Constant 0 when no maximal clique is large enough.
     """
-    return SeparatorNetwork(g, "clique", g.n, g.n, lambda b: b.var).circuit(k)
+    return _induced_network(g).circuit(k)
+
+
+# the induced-clique suite asks for every k of one graph in a row
+@lru_cache(maxsize=4)
+def _induced_network(g: Graph) -> SeparatorNetwork:
+    return SeparatorNetwork(g, "clique", g.n, g.n, lambda b: [b.var(v) for v in range(g.n)])
 
 
 def monomial_clique_circuit(g: Graph, idx: NonedgeIndex, k: int) -> Circuit:
@@ -418,7 +490,7 @@ class _Channel:
         self.transcript = Transcript()
 
     def send(self, sender: str, bits: str, meaning: str) -> str:
-        if sender not in ("A", "B") or not bits or set(bits) - {"0", "1"}:
+        if sender not in ("A", "B") or not bits or bits.strip("01"):
             raise ValueError("malformed message")
         self.transcript.entries.append(
             TranscriptEntry(len(self.transcript.entries) + 1, sender, bits, meaning)
@@ -484,7 +556,11 @@ def _game_network(g: Graph, idx: NonedgeIndex, kind: GameKind, cfg: GameConfig) 
 
 
 def game_circuit(g: Graph, idx: NonedgeIndex, kind: GameKind, k: int, cfg: GameConfig) -> Circuit:
-    """The circuit both parties deterministically rebuild for round k."""
+    """The circuit both parties deterministically rebuild for round k.
+
+    Extracted from the network's array on every call; a play walks the same
+    gates in the array itself, from round k's root.
+    """
     return _game_network(g, idx, kind, cfg).circuit(k)
 
 
@@ -497,6 +573,10 @@ def _nonedge_index(g: Graph, cfg: GameConfig) -> NonedgeIndex:
     return idx
 
 
+# an empty window: every node above the monomial trees is outside it
+_NO_WINDOW = (0, 0, [], 0)
+
+
 class _Party:
     """One side of a session.  Sees the graph, its own set, and the messages.
 
@@ -506,18 +586,22 @@ class _Party:
     even when the choice is forced, so where the walk stands follows from
     the transcript alone (``_protocol``).
 
-    A party never builds its vector over the nonedges.  Every node is an
+    A party never builds its vector over the nonedges, and it evaluates
+    only what round k can read of the network's array.  Every node is an
     AND or OR of variables, and a party's value on a variable, or on the
     AND of all variables at one vertex, follows from its own set mask and
-    that vertex's nonedge-partner mask (``_holds``).  So ``prepare``
-    evaluates in three layers.  It sets the slot roots from the masks; it
-    sets each graft root from the threshold count of the slots that hold
-    (``SeparatorNetwork.grafts``), since a graft is exactly threshold-k of
-    its inputs; and it evaluates the clique family's OR tree above the
-    grafts in one flat pass.  The rest is evaluated only when the walk
-    reads it (``_value``): a node of a graft evaluates that whole graft in
-    one flat pass, which must reproduce the root's seeded value, and a
-    node of a monomial tree is evaluated from its own variables.
+    that vertex's nonedge-partner mask (``_holds``).  So ``prepare`` sets
+    the slot roots from the masks, and evaluates round k's OR tree
+    (``SeparatorNetwork.round``) in one flat pass over its inputs, the
+    groups' threshold-k nodes, each seeded from the count of the group's
+    slots that hold, since a graft is exactly threshold-k of its slots.
+    The rest is evaluated only when the walk reads it (``_value``): a node
+    of a graft evaluates that graft's round-k cone in one flat pass
+    (``SeparatorNetwork.cone``), which must reproduce the seeded value of
+    its threshold-k node, and a node of a monomial tree is evaluated from
+    its own variables.  The OR tree and each graft entered keep their values
+    in a list of their own, a window on the array, so a play allocates
+    nothing the size of the array.
     """
 
     def __init__(self, role: str, g: Graph, idx: NonedgeIndex, own: frozenset, kind: GameKind, cfg: GameConfig):
@@ -528,14 +612,15 @@ class _Party:
         self.own = own
         self.kind = kind
         self.cfg = cfg
-        self.circuit: Circuit | None = None
+        self.net: SeparatorNetwork | None = None
         self.mask = 0
         self.gamma = 0
-        self.vals: list[int | None] | None = None
-        # set by ``prepare``: the round, which slots hold, where the grafts lie
-        self.k = self.ones = self.lead = 0
-        self.ends: tuple[int, ...] = ()
-        self.slot_masks: tuple[int, ...] = ()
+        # ``prepare`` sets the round, its table and root, which slots hold,
+        # where the layers start and the monomial-tree values (``memo``); the
+        # OR tree (``tree``) and each graft entered (``entered``) get a window
+        # (first node, end, values, base), the last one read in ``window``
+        self.k = self.root = 0
+        self.table: RoundTable | None = None
 
     def say(self, meaning: str, width: int, node: int | None) -> str:
         """This party's bits for one message of ``_protocol``."""
@@ -566,74 +651,61 @@ class _Party:
         return 0 if partners and (m & bit or partners & m or (gm & bit and partners & gm)) else 1
 
     def prepare(self, k: int) -> None:
-        net = _game_network(self.g, self.idx, self.kind, self.cfg)
-        circ = self.circuit = net.circuit(k)
+        net = self.net = _game_network(self.g, self.idx, self.kind, self.cfg)
+        table = self.table = net.round(k)
         self.mask = _mask(self.own)
         if self.role == "B" and self.kind.name == "relaxed-clique":
             self.gamma = _gamma_mask(self.g, self.mask)
-        roots = net.roots[k]
-        vals = self.vals = [None] * len(circ.gates)
+        memo = self.memo = {}
         ones = 0
-        for slot, (node, bit, partners) in enumerate(zip(roots, *net.monomial_masks())):
-            # a pruned slot still counts: a constant-1 monomial folds away
-            val = self._holds(bit, partners)
+        for slot, (node, bit, partners) in enumerate(zip(net.slot_nodes, *net.monomial_masks())):
+            val = memo[node] = self._holds(bit, partners)
             ones |= val << slot
-            if node >= 0:
-                vals[node] = val
-        self.k, self.ones, self.lead = k, ones, max(roots) + 1
-        self.ends, self.slot_masks = ends, slot_masks = net.grafts(k)
-        if not ends:
-            # no graft to seed: the output is a slot root or a constant
-            self._evaluate(self.lead, len(vals))
-        elif ends[-1] + 1 < len(vals):
-            # the OR tree over the grafts reads the seeded roots; the walk
-            # reads them only through ``_graft``, which checks them
-            for node, m in zip(ends, slot_masks):
-                vals[node] = 1 if (ones & m).bit_count() >= k else 0
-            self._evaluate(ends[-1] + 1, len(vals))
-            for node in ends:
-                vals[node] = None
+        self.k, self.root, self.ones, self.entered = k, net.outputs[k], ones, {}
+        self.lead, self.starts, self.tree_start = net.lead, net.graft_starts, net.tree_starts[k]
+        self.tree = self.window = _NO_WINDOW
+        if table.tree is not None:
+            # the walk reads the seeded inputs only through ``_enter``, which checks them
+            seeds = [1 if (ones & m).bit_count() >= k else 0 for m in table.masks]
+            self.tree = self.window = (self.tree_start, len(net.gates), _run(seeds, table.tree), table.tree.base)
 
-    def _evaluate(self, start: int, stop: int) -> None:
-        """One flat pass over nodes ``start`` to ``stop - 1``, all above the monomial trees."""
-        gates = self.circuit.gates
-        vals = self.vals
-        for i in range(start, stop):
-            gate = gates[i]
-            op = gate[0]
-            if op == AND:
-                vals[i] = vals[gate[1]] & vals[gate[2]]
-            elif op == OR:
-                vals[i] = vals[gate[1]] | vals[gate[2]]
-            else:  # a constant: every variable sits in the monomial trees
-                vals[i] = gate[1]
-
-    def _graft(self, j: int) -> None:
-        """Evaluate graft ``j`` in one flat pass and check its root against the seed."""
-        root = self.ends[j]
-        self._evaluate(self.ends[j - 1] + 1 if j else self.lead, root + 1)
-        if self.vals[root] != ((self.ones & self.slot_masks[j]).bit_count() >= self.k):
+    def _enter(self, j: int) -> tuple:
+        """Evaluate graft ``j``'s round-k cone in one flat pass and check it against the seed."""
+        graft, k, ones = self.net.grafts[j], self.k, self.ones
+        block = self.table.cones.get(j) or self.net.cone(j, k)
+        vals = _run([ones >> slot & 1 for slot in graft.slots], block)
+        if vals[graft.roots[k - 1] - block.base] != ((ones & graft.mask).bit_count() >= k):
             raise CircuitInvariantError("a graft disagrees with the threshold count of its inputs")
+        end = self.starts[j + 1] if j + 1 < len(self.starts) else self.tree_start
+        window = self.entered[j] = (graft.start, end, vals, block.base)
+        return window
 
     def _value(self, node: int) -> int:
-        val = self.vals[node]
+        if node >= self.lead:
+            start, end, vals, base = self.window
+            if not start <= node < end:
+                # into the OR tree, or a graft, entered the first time
+                if node >= self.tree_start:
+                    window = self.tree
+                else:
+                    j = bisect_right(self.starts, node) - 1
+                    window = self.entered.get(j) or self._enter(j)
+                start, end, vals, base = self.window = window
+            return vals[node - base]
+        # a node of a monomial tree, at or below a slot root
+        val = self.memo.get(node)
         if val is None:
-            if node >= self.lead:
-                # a node of a graft the walk has not entered yet
-                self._graft(bisect_left(self.ends, node))
-                return self.vals[node]
-            # a node of a monomial tree below the slot roots
-            gate = self.circuit.gates[node]
+            gate = self.net.gates[node]
             if gate[0] == VAR:
                 u, v = self.idx.pairs[gate[1]]
                 val = self._holds(1 << u, 1 << v)
             else:
                 val = self._value(gate[1]) and self._value(gate[2])
-            self.vals[node] = val
+            self.memo[node] = val
         return val
 
     def descend_bit(self, node: int) -> str:
-        return "0" if self._value(self.circuit.gates[node][1]) == self.target else "1"
+        return "0" if self._value(self.net.gates[node][1]) == self.target else "1"
 
 
 # --------------------------------------------------------------------------
@@ -641,21 +713,21 @@ class _Party:
 
 
 def _descend(
-    c: Circuit,
+    gates: Sequence[Gate],
+    node: int,
     speak: Callable[[str, str, int, Optional[int]], str],
     stand: Optional[Callable[[int], None]] = None,
 ) -> int:
-    """Walk ``c`` from its output to a variable, one bit per AND/OR gate.
+    """Walk ``gates`` from ``node`` to a variable, one bit per AND/OR gate.
 
     Bob speaks at an AND gate, Alice at an OR gate, and "0" goes to the
-    left child.  ``stand`` sees every node the walk stands on, the output
+    left child.  ``stand`` sees every node the walk stands on, the first
     and the leaf included.  Returns the leaf's variable index.
     """
-    node = c.output
     while True:
         if stand is not None:
             stand(node)
-        gate = c.gates[node]
+        gate = gates[node]
         if gate[0] == VAR:
             return gate[1]
         if gate[0] == CONST:
@@ -677,8 +749,9 @@ def _protocol(
     in turn: in the clique-style games the handshake of ``_HANDSHAKE``,
     which ends the game at the first "0" flag with that sender's nonedge;
     then Alice's set size k; then one descend bit per gate on the walk of
-    the round-k circuit, where ``node`` is that gate (it is None for every
-    other message).  ``stand`` is handed to ``_descend``.
+    round k's circuit, from its root in the network's array, where ``node``
+    is that gate (it is None for every other message).  ``stand`` is handed
+    to ``_descend``.
     """
     if kind.has_handshake:
         for sender, flag, nonedge in _HANDSHAKE:
@@ -686,7 +759,9 @@ def _protocol(
                 return _decode_pair(speak(sender, nonedge, 2 * vertex_field_width(g.n), None), g.n)
     k = int(speak("A", "set-size", size_field_width(g.n), None), 2)
     idx = _nonedge_index(g, cfg)
-    return idx.pair(_descend(game_circuit(g, idx, kind, k, cfg), speak, stand))
+    net = _game_network(g, idx, kind, cfg)
+    root = net.output(k)
+    return idx.pair(_descend(net.gates, root, speak, stand))
 
 
 def find_separating_variable(
@@ -713,7 +788,7 @@ def find_separating_variable(
             channel.send(sender, bit, meaning)
         return bit
 
-    return _descend(c, speak)
+    return _descend(c.gates, c.output, speak)
 
 
 # --------------------------------------------------------------------------
@@ -898,7 +973,7 @@ def play(
             value = party._value(node)
             if value == party.target:
                 continue
-            if node != party.circuit.output:
+            if node != party.root:
                 raise CircuitInvariantError("traversal invariant broke; circuit rules are wrong")
             side = "first" if party.role == "A" else "second"
             raise SeparationError(
@@ -974,14 +1049,12 @@ def bit_bound(kind: GameKind, g: Graph, config: Optional[GameConfig] = None) -> 
     fixed-width size announcement plus the depth of the deepest circuit the
     protocol could traverse, after two clique flags in the clique-style
     games; there the handshake branch, two flags and one vertex pair, is the
-    other way out.  Computed from the actually constructed circuits (every
-    k, so later plays find them all built), so it is a checkable bound
-    rather than an asymptotic claim.
+    other way out.  The depth comes from one pass over the network's gate
+    array, which holds every k's circuit, so it is a checkable bound rather
+    than an asymptotic claim, and later plays find the network built.
     """
     cfg = config if config is not None else GameConfig()
-    net = _game_network(g, _nonedge_index(g, cfg), kind, cfg)
-    depth = max((net.circuit(k).depth for k in range(1, net.slots + 1)), default=0)
-    circuit_branch = size_field_width(g.n) + depth
+    circuit_branch = size_field_width(g.n) + _game_network(g, _nonedge_index(g, cfg), kind, cfg).depth
     if not kind.has_handshake:
         return circuit_branch
     return max(2 + 2 * vertex_field_width(g.n), 2 + circuit_branch)

@@ -160,17 +160,22 @@ def reference_game_circuit(g: Graph, idx, family: str, k: int, threshold):
         else:
             raise ValueError(f"vertex {v} touches no nonedge")
     if family == "threshold":
-        return b.build(b.graft(threshold(len(universe), k), monomials))
+        sub = threshold(len(universe), k)
+        return b.build(b.graft(sub, monomials)[sub.output])
     # the induced-clique circuit on vertex variables, grafted onto the monomials
     inner = CircuitBuilder(g.n)
     qualifying = [c for c in maximal_cliques(g) if len(c) >= k]
     if qualifying:
         out = inner.or_tree(
-            [inner.graft(threshold(len(c), k), [inner.var(v) for v in c]) for c in qualifying]
+            [_graft_output(inner, threshold(len(c), k), [inner.var(v) for v in c]) for c in qualifying]
         )
     else:
         out = inner.const(0)
-    return b.build(b.graft(inner.build(out), monomials))
+    return b.build(_graft_output(b, inner.build(out), monomials))
+
+
+def _graft_output(b, sub, inputs):
+    return b.graft(sub, inputs)[sub.output]
 
 
 def brute_party_vector(g: Graph, idx, kind_name: str, role: str, own) -> tuple:
@@ -193,17 +198,18 @@ def brute_party_vector(g: Graph, idx, kind_name: str, role: str, own) -> tuple:
 
 
 class FullVectorParty(games._Party):
-    """A party that evaluates every node of its circuit on its whole vector.
+    """A party that evaluates every node of the network's array on its whole vector.
 
-    This is the one-pass ``node_values`` walk that the two-layer evaluation
-    of ``games._Party`` must reproduce value for value; the messages it
-    says and the checks ``play`` makes on its values are unchanged.
+    This is the one-pass ``node_values`` walk that the lazy evaluation of
+    ``games._Party`` must reproduce value for value; the messages it says
+    and the checks ``play`` makes on its values are unchanged.
     """
 
     def prepare(self, k):
-        self.circuit = games.game_circuit(self.g, self.idx, self.kind, k, self.cfg)
+        self.net = games._game_network(self.g, self.idx, self.kind, self.cfg)
+        self.root = self.net.output(k)
         vec = brute_party_vector(self.g, self.idx, self.kind.name, self.role, self.own)
-        self.vals = node_values(self.circuit, vec)
+        self.vals = node_values(self.net.array, vec)
 
     def _value(self, node):
         return self.vals[node]

@@ -91,8 +91,9 @@ class TestBuilder:
     def test_graft_substitutes_variables(self):
         inner = _or2()
         b = CircuitBuilder(3)
-        out = b.graft(inner, [b.var(2), b.and_(b.var(0), b.var(1))])
-        c = b.build(out)
+        nodes = b.graft(inner, [b.var(2), b.and_(b.var(0), b.var(1))])
+        assert len(nodes) == len(inner.gates) and nodes[0] == b.var(2)
+        c = b.build(nodes[inner.output])
         assert evaluate(c, (0, 0, 1)) == 1
         assert evaluate(c, (1, 1, 0)) == 1
         assert evaluate(c, (1, 0, 0)) == 0

@@ -2,7 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
-from bisect import bisect_left
+from bisect import bisect_right
 
 import pytest
 
@@ -16,6 +16,7 @@ from cliquegames.circuit import (
     evaluate,
     node_values,
     serialize_circuit,
+    threshold_network,
 )
 from cliquegames.games import (
     BICLIQUE,
@@ -245,14 +246,25 @@ class TestSharedNetwork:
         bit_bound(CLIQUE, g, cfg)
         assert len(calls) == len(monomial_universe(g)) + g.n
 
-    def test_builder_dropped_once_every_k_is_built(self, p4):
+    def test_network_keeps_no_circuits(self):
+        # each k's circuit is extracted on demand; the network holds only
+        # its one gate array, whatever was asked of it before
+        g, _ = strip_stars(random_graph(32, 0.5, random.Random(32)))
+        idx = nonedges(g)
         cfg = GameConfig()
-        idx = nonedges(p4)
-        game_circuit(p4, idx, BICLIQUE, 1, cfg)
-        (net,) = [v for key, v in cfg.circuit_cache.items() if key[0] == p4]
-        assert net._builder is not None
-        bit_bound(BICLIQUE, p4, cfg)
-        assert net._builder is None and sorted(net.circuits) == [1, 2, 3, 4]
+        for kind in (BICLIQUE, CLIQUE):
+            bit_bound(kind, g, cfg)
+            for k in range(1, g.n + 1):
+                game_circuit(g, idx, kind, k, cfg)
+        nets = [v for key, v in cfg.circuit_cache.items() if key[0] == g]
+        assert len(nets) == 2
+        for net in nets:
+            held = [v for v in vars(net).values() if isinstance(v, Circuit)]
+            assert held == [net.array] and len(net.array.gates) == len(net.gates)
+            for v in vars(net).values():
+                if isinstance(v, (dict, list, tuple)):
+                    items = v.values() if isinstance(v, dict) else v
+                    assert not any(isinstance(x, Circuit) for x in items)
 
 
 def _outcome_or_error(run):
@@ -347,10 +359,11 @@ class TestTwoLayerEvaluation:
         missing = {(0, 1), (1, 2), (3, 4)}
         g = graph_from_edges(5, [p for p in itertools.combinations(range(5), 2) if p not in missing])
         cfg = GameConfig()
-        circ = game_circuit(g, nonedges(g), BICLIQUE, 1, cfg)
-        roots = cfg.circuit_cache[g, "threshold"].roots[1]
-        assert roots[3] == roots[4] and circ.gates[roots[3]][0] == "VAR"
-        assert circ.gates[roots[0]][0] == "VAR" and circ.gates[roots[1]][0] == "AND"
+        bit_bound(BICLIQUE, g, cfg)
+        net = cfg.circuit_cache[g, "threshold"]
+        roots, gates = net.slot_nodes, net.gates
+        assert roots[3] == roots[4] and gates[roots[3]][0] == "VAR"
+        assert gates[roots[0]][0] == "VAR" and gates[roots[1]][0] == "AND"
         pairs = list(_all_disjoint_pairs(5))
         for cfg in (GameConfig(), GameConfig(oracle_limit=0)):
             for kind in (BICLIQUE, CLIQUE, RELAXED_CLIQUE, GameKind("edge-biclique", 2)):
@@ -365,7 +378,7 @@ class TestTwoLayerEvaluation:
             ref = party.__dict__.get("ref_vals")
             if ref is None:
                 vec = brute_party_vector(party.g, party.idx, party.kind.name, party.role, party.own)
-                ref = party.ref_vals = node_values(party.circuit, vec)
+                ref = party.ref_vals = node_values(party.net.array, vec)
             assert val == ref[node], (party.role, party.kind.name, node)
             reads.append(node)
             return val
@@ -406,8 +419,13 @@ def _walk_inputs(g, kind, cfg):
     ]
 
 
-def _graft_tables(cfg):
-    return {key[1]: net._grafts for key, net in cfg.circuit_cache.items() if key[0] != "nonedges"}
+def _play_tables(cfg):
+    """Per network family: the rounds with an OR-tree table, and the (graft, round) cone tables."""
+    return {
+        key[1]: (sorted(net._rounds), sorted((j, k) for k, table in net._rounds.items() for j in table.cones))
+        for key, net in cfg.circuit_cache.items()
+        if key[0] != "nonedges"
+    }
 
 
 class TestGraftSeeds:
@@ -416,11 +434,14 @@ class TestGraftSeeds:
     seeded root there; the graft tables behind this exist only for plays."""
 
     def test_wrong_threshold_fails_loudly(self, monkeypatch):
-        # every graft computes threshold-(k + 1) while the seeds count to k
-        honest = build_threshold_sort
-        monkeypatch.setattr(
-            games_module, "build_threshold_sort", lambda s, k: honest(s, min(k + 1, s))
-        )
+        # round k reads every graft's threshold-(k + 1) node while the seeds count to k
+        honest = threshold_network
+
+        def shifted(s):
+            network, thresholds = honest(s)
+            return network, thresholds[1:] + thresholds[-1:]
+
+        monkeypatch.setattr(games_module, "threshold_network", shifted)
         root_checks = 0
         for g in catalog_all_graphs(4):
             for kind in ALL_KINDS:
@@ -438,7 +459,7 @@ class TestGraftSeeds:
 
     def test_every_graft_the_walk_enters_is_checked(self, monkeypatch):
         reads, checked = [], set()
-        value, graft = games_module._Party._value, games_module._Party._graft
+        value, enter = games_module._Party._value, games_module._Party._enter
 
         def reading(party, node):
             reads.append((party, node))
@@ -446,20 +467,20 @@ class TestGraftSeeds:
 
         def checking(party, j):
             checked.add((id(party), j))
-            return graft(party, j)
+            return enter(party, j)
 
         monkeypatch.setattr(games_module._Party, "_value", reading)
-        monkeypatch.setattr(games_module._Party, "_graft", checking)
+        monkeypatch.setattr(games_module._Party, "_enter", checking)
         for g in catalog_all_graphs(4):
             for kind in ALL_KINDS:
                 cfg = GameConfig()
                 for a, b in _walk_inputs(g, kind, cfg):
                     play(kind, g, a, b, cfg)
-        # a read at or below a graft root, seeded or not, must have run its check
+        # a read of a graft node, its seeded root included, must have run its check
         entered = {
-            (id(party), bisect_left(party.ends, node))
+            (id(party), bisect_right(party.net.graft_starts, node) - 1)
             for party, node in reads
-            if party.ends and party.lead <= node <= party.ends[-1]
+            if party.net.lead <= node < party.tree_start
         }
         assert entered and entered <= checked
 
@@ -467,27 +488,31 @@ class TestGraftSeeds:
         g, _ = strip_stars(random_graph(8, 0.5, random.Random(8)))
         idx = nonedges(g)
         cfg = GameConfig()
+        empty = {"threshold": ([], []), "clique": ([], [])}
         for kind in (BICLIQUE, CLIQUE):
             bit_bound(kind, g, cfg)
             for k in range(1, g.n + 1):
                 game_circuit(g, idx, kind, k, cfg)
-        assert _graft_tables(cfg) == {"threshold": {}, "clique": {}}
+        assert _play_tables(cfg) == empty
 
-        def forbidden(net, k):
-            raise AssertionError("a circuit-only network built a graft table")
+        def forbidden(net, *args):
+            raise AssertionError("a circuit-only network built a play table")
 
         with monkeypatch.context() as m:
-            m.setattr(games_module.SeparatorNetwork, "_graft_table", forbidden)
+            for table in ("monomial_masks", "round", "cone"):
+                m.setattr(games_module.SeparatorNetwork, table, forbidden)
             for suite in ("incidence-separation", "clique-separation", "relaxed-separation"):
                 assert run_suite(suite, catalog_all_graphs(4)).passed
 
         # the reference evaluates every node itself and reads no table
         a, b = _walk_inputs(g, CLIQUE, GameConfig())[0]
         reference_play(CLIQUE, g, a, b, cfg)
-        assert _graft_tables(cfg) == {"threshold": {}, "clique": {}}
+        assert _play_tables(cfg) == empty
+        # a play builds its own round's tables only
         play(CLIQUE, g, a, b, cfg)
-        tables = _graft_tables(cfg)
-        assert tables["threshold"] == {} and list(tables["clique"]) == [len(a)]
+        trees, cones = _play_tables(cfg)["clique"]
+        assert trees == [len(a)] and cones and all(k == len(a) for _, k in cones)
+        assert _play_tables(cfg)["threshold"] == ([], [])
 
 
 class TestInducedCliqueCircuit:
@@ -595,7 +620,7 @@ class TestWalkChecks:
         honest = games_module._Party._value
 
         def lying(party, node):
-            if party.role == role and node != party.circuit.output:
+            if party.role == role and node != party.root:
                 return value
             return honest(party, node)
 
@@ -608,7 +633,7 @@ class TestWalkChecks:
 
         def lying(party, node):
             val = honest(party, node)
-            return 1 - val if party.role == "A" and node == party.circuit.output else val
+            return 1 - val if party.role == "A" and node == party.root else val
 
         monkeypatch.setattr(games_module._Party, "_value", lying)
         with pytest.raises(
@@ -1003,7 +1028,7 @@ class TestBitBound:
         # with every threshold folded to constant 0 each circuit has depth 0,
         # so only the handshake branch covers a play ending in Bob's nonedge
         monkeypatch.setattr(
-            games_module, "build_threshold_sort", lambda m, k: Circuit(((CONST, 0),), 0, m)
+            games_module, "threshold_network", lambda m: (Circuit(((CONST, 0),), 0, m), (0,) * m)
         )
         cfg = GameConfig()
         out = play(CLIQUE, c5, {4}, {0, 2}, cfg)
@@ -1011,3 +1036,35 @@ class TestBitBound:
         assert out.transcript.total_bits == 2 + 2 * vertex_field_width(5)
         assert bit_bound(CLIQUE, c5, cfg) == out.transcript.total_bits
         assert bit_bound(BICLIQUE, c5, cfg) == size_field_width(5)
+
+    @staticmethod
+    def _bound_from_circuits(kind, g, cfg):
+        """The bound from every extracted round-k circuit, the handshake branch included."""
+        idx = nonedges(g)
+        depth = max(game_circuit(g, idx, kind, k, cfg).depth for k in range(1, g.n + 1))
+        circuit_branch = size_field_width(g.n) + depth
+        if not kind.has_handshake:
+            return circuit_branch
+        return max(2 + 2 * vertex_field_width(g.n), 2 + circuit_branch)
+
+    def test_one_depth_pass_matches_the_extracted_circuits(self):
+        # both families, with and without the handshake branch
+        graphs = list(catalog_all_graphs(5))
+        graphs += [strip_stars(random_graph(n, 0.5, random.Random(n)))[0] for n in (16, 32, 64)]
+        for g in graphs:
+            cfg = GameConfig()
+            for kind in (BICLIQUE, RELAXED_CLIQUE, CLIQUE):
+                assert bit_bound(kind, g, cfg) == self._bound_from_circuits(kind, g, cfg), (
+                    kind.name,
+                    sorted(g.edges),
+                )
+
+    def test_n128_network_is_one_small_array(self):
+        # one gate array for every k: the 128 per-k circuits, each with its
+        # own copy of the monomial prefix, held about 1.8 M gates between them
+        g, _ = strip_stars(random_graph(128, 0.5, random.Random(128)))
+        cfg = GameConfig()
+        bound = bit_bound(BICLIQUE, g, cfg)
+        net = cfg.circuit_cache[g, "threshold"]
+        assert len(net.gates) < 20_000
+        assert bound == self._bound_from_circuits(BICLIQUE, g, cfg)
