@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -166,15 +165,39 @@ def threshold_truth_table(n: int, k: int) -> int:
     return acc
 
 
+def cone(gates: Sequence[Gate], root: int, start: int = 0) -> list[int]:
+    """``root`` and the ids it reaches, sorted, without going below ``start``."""
+    seen = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node >= start and node not in seen:
+            seen.add(node)
+            gate = gates[node]
+            if gate[0] in (AND, OR):
+                stack.append(gate[1])
+                stack.append(gate[2])
+    return sorted(seen)
+
+
+def extract(gates: Sequence[Gate], output: int, var_count: int) -> Circuit:
+    """The cone of ``output`` as one validated circuit, renumbered in array order."""
+    ids = cone(gates, output)
+    renum = {old: new for new, old in enumerate(ids)}
+    kept = []
+    for old in ids:
+        gate = gates[old]
+        kept.append((gate[0], renum[gate[1]], renum[gate[2]]) if gate[0] in (AND, OR) else gate)
+    return Circuit(gates=tuple(kept), output=renum[output], var_count=var_count)
+
+
 class CircuitBuilder:
     """Mutable gate appender with constant propagation.
 
     Constant folding is the only simplification performed: AND/OR with a
     constant child collapses.  Variable and constant leaves are deduplicated;
-    ``build`` prunes everything unreachable from the output and renumbers.
-    One builder can serve many outputs: after ``share`` marks the nodes built
-    so far as common to all of them, ``build`` memoizes their cones instead
-    of walking them again for every output.
+    ``build`` extracts the cone of one output (``extract``), and
+    ``snapshot`` keeps every node.
     """
 
     def __init__(self, var_count: int):
@@ -182,8 +205,6 @@ class CircuitBuilder:
         self._gates: list[Gate] = []
         self._var_ids: dict[int, int] = {}
         self._const_ids: dict[int, int] = {}
-        self._shared = 0
-        self._shared_cones: dict[int, frozenset[int]] = {}
 
     def __len__(self) -> int:
         return len(self._gates)
@@ -275,60 +296,9 @@ class CircuitBuilder:
         """Every node built so far, unpruned and in order, as one (validated) circuit."""
         return Circuit(gates=tuple(self._gates), output=output, var_count=self.var_count)
 
-    def share(self) -> None:
-        """Mark every node built so far as common to the outputs built next."""
-        self._shared = len(self._gates)
-
-    def _cone(self, output: int, shared: int) -> set[int]:
-        """Nodes reachable from ``output``; those below ``shared`` via the memo."""
-        gates = self._gates
-        keep = {output}
-        stack = [output]
-        while stack:
-            gate = gates[stack.pop()]
-            if gate[0] in (AND, OR):
-                for child in gate[1:]:
-                    if child in keep:
-                        continue
-                    if child < shared:
-                        cone = self._shared_cones.get(child)
-                        if cone is None:
-                            cone = self._shared_cones[child] = frozenset(self._cone(child, 0))
-                        keep |= cone
-                    else:
-                        keep.add(child)
-                        stack.append(child)
-        return keep
-
-    def build(self, output: int, ids: list[int] | None = None) -> Circuit:
-        """Finalize: prune nodes unreachable from ``output`` and renumber.
-
-        Renumbering keeps the builder's order, so when the kept nodes start
-        with 0, 1, ..., lead - 1 those keep their ids and their gates as is.
-        If ``ids`` is given, each node id in it is replaced, in place, by
-        the id that node got in the result, or -1 where it was pruned.
-        """
-        order = sorted(self._cone(output, self._shared))
-        lead = bisect_left(range(len(order)), True, key=lambda i: order[i] != i)
-        renum = {old: new for new, old in enumerate(order[lead:], lead)}
-        gates = self._gates[:lead]
-        for old in order[lead:]:
-            gate = self._gates[old]
-            if gate[0] in (AND, OR):
-                left, right = gate[1], gate[2]
-                gates.append(
-                    (
-                        gate[0],
-                        left if left < lead else renum[left],
-                        right if right < lead else renum[right],
-                    )
-                )
-            else:
-                gates.append(gate)
-        out = output if output < lead else renum[output]
-        if ids is not None:
-            ids[:] = [node if node < lead else renum.get(node, -1) for node in ids]
-        return Circuit(gates=tuple(gates), output=out, var_count=self.var_count)
+    def build(self, output: int) -> Circuit:
+        """Finalize: prune nodes unreachable from ``output`` and renumber in order."""
+        return extract(self._gates, output, self.var_count)
 
 
 def sorting_network(width: int) -> list[tuple[int, int]]:
@@ -393,12 +363,14 @@ def threshold_network(n: int) -> tuple[Circuit, tuple[int, ...]]:
 # the induced-clique suite asks for the small widths of cliques again and again
 @lru_cache(maxsize=64)
 def build_threshold_sort(n: int, k: int) -> Circuit:
-    """Threshold via a sorting network: the k-th largest of n wires (memoized)."""
+    """Threshold via a sorting network: the k-th largest of n wires (memoized).
+
+    The threshold-k cone of ``threshold_network(n)``, extracted as is.
+    """
     if not 1 <= k <= n:
         raise ValueError(f"threshold arity out of range: k={k}, n={n}")
     network, thresholds = threshold_network(n)
-    b = CircuitBuilder(n)
-    return b.build(b.graft(network, [b.var(i) for i in range(n)])[thresholds[k - 1]])
+    return extract(network.gates, thresholds[k - 1], n)
 
 
 def _majority_padding(n: int, k: int) -> tuple[int, int]:

@@ -65,6 +65,11 @@ def _env(name: str, fallback, choices: Sequence = ()):
         ) from None
 
 
+def _nonnegative(name: str, value: int) -> None:
+    if value < 0:
+        raise UsageError(f"{name}: {value} is negative")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed",
@@ -133,12 +138,12 @@ def _game_kind(args) -> GameKind:
     if edge_bound is not None:
         if args.game != "edge-biclique":
             raise UsageError("--edge-bound only applies to the edge-biclique game")
-        if edge_bound < 0:
-            raise UsageError(f"--edge-bound: {edge_bound} is negative")
+        _nonnegative("--edge-bound", edge_bound)
     return kind_from_name(args.game, edge_bound)
 
 
 def _cmd_oracle(args) -> int:
+    _nonnegative("--clique-cap", args.clique_cap)
     g = _load_graph(args.file)
     limit = args.oracle_limit
     omega = max_clique_size(g, max(limit, 20))
@@ -295,6 +300,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     args = parser.parse_args(argv)
     try:
+        _nonnegative("--oracle-limit", args.oracle_limit)  # its default may come from the environment
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -50,6 +50,8 @@ from .circuit import (
     CircuitBuilder,
     CircuitInvariantError,
     Gate,
+    cone,
+    extract,
     node_depths,
     node_values,
     threshold_network,
@@ -229,12 +231,13 @@ class SeparatorNetwork:
     group with at least k slots (an OR of one node adds no gate), and its
     root is ``outputs[k]``; it starts at ``tree_starts[k]``.
 
-    ``circuit(k)`` extracts round k's pruned, renumbered cone on every
-    call; the network keeps none of them.  Constant folding acts gate by
-    gate and grafts never share gates, so the cone is exactly the circuit
-    a fresh builder would produce for that k alone, grafting only each
-    network's threshold-k cone.  The array is validated once, as one
-    circuit (``array``), and ``depth`` comes from one pass over it.
+    ``circuit(k)`` extracts round k's cone from the array (``extract``) on
+    every call; the network keeps none of them, nor the builder that made
+    the array.  Constant folding acts gate by gate and grafts never share
+    gates, so the cone is exactly the circuit a fresh builder would produce
+    for that k alone, grafting only each network's threshold-k cone.  The
+    array is validated once, as one circuit (``array``), and ``depth``
+    comes from one pass over it.
 
     A network over vertex monomials also gets ``vertices``, the vertex of
     each slot.  Plays read it through tables built on a party's first
@@ -264,7 +267,6 @@ class SeparatorNetwork:
     def _build(self) -> None:
         b = CircuitBuilder(self._var_count)
         self.slot_nodes = slot_nodes = self._leaves(b)
-        b.share()
         self.lead = len(b)
         groups = maximal_cliques(self.g) if self.family == "clique" else [tuple(range(self.slots))]
         self.grafts = []
@@ -281,7 +283,6 @@ class SeparatorNetwork:
             self.outputs.append(b.or_tree(roots) if roots else b.const(0))
         self.array = b.snapshot(len(b) - 1)
         self.gates = self.array.gates
-        self._builder = b
 
     def output(self, k: int) -> int:
         """The root of round k's circuit in the array."""
@@ -293,8 +294,8 @@ class SeparatorNetwork:
 
     def circuit(self, k: int) -> Circuit:
         """Round k's circuit: the cone of its root, pruned and renumbered."""
-        out = self.output(k)
-        return self._builder.build(out)
+        out = self.output(k)  # builds the array on the first request
+        return extract(self.gates, out, self._var_count)
 
     @cached_property
     def depth(self) -> int:
@@ -368,21 +369,9 @@ class RoundTable(NamedTuple):
     cones: dict[int, Block]
 
 
-def _cone_from(gates: Sequence[Gate], root: int, start: int) -> list[int]:
-    """The nodes from ``start`` up that ``root`` reaches without going below ``start``, in order."""
-    seen = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node >= start and node not in seen:
-            seen.add(node)
-            stack.extend(gates[node][1:] if gates[node][0] in (AND, OR) else ())
-    return sorted(seen)
-
-
 def _block(gates: Sequence[Gate], inputs: Sequence[int], root: int, start: int) -> Block:
     """The gates from ``start`` up under ``root`` as a ``Block`` over ``inputs``."""
-    ids = _cone_from(gates, root, start)
+    ids = cone(gates, root, start)
     base = start - len(inputs)
     pos = {node: i for i, node in enumerate(inputs)}
     program = []

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -15,8 +16,10 @@ from cliquegames.circuit import (
     build_threshold_sort,
     build_threshold_valiant,
     comparator_depths,
+    cone,
     evaluate,
     evaluate_many,
+    extract,
     parse_circuit,
     serialize_circuit,
     sorting_network,
@@ -112,6 +115,25 @@ class TestBuilder:
             Circuit(gates=((VAR, 3),), output=0, var_count=2)
 
 
+# node 5's cone, 0 2 3 4 5, is not a prefix and not in depth-first order; 1 and 6 are dead
+_SPARSE = ((VAR, 0), (VAR, 1), (VAR, 2), (VAR, 3), (AND, 0, 3), (OR, 4, 2), (OR, 0, 1))
+
+
+class TestExtract:
+    def test_keeps_order_and_renumbers(self):
+        c = extract(_SPARSE, 5, 4)
+        assert c.gates == ((VAR, 0), (VAR, 2), (VAR, 3), (AND, 0, 2), (OR, 3, 1))
+        assert c.output == 4 and c.var_count == 4
+        assert truth_table(c) == truth_table(Circuit(_SPARSE, 5, 4))
+        assert extract(_SPARSE, 2, 4) == Circuit(((VAR, 2),), 0, 4)
+
+    def test_cone_stops_at_start(self):
+        assert cone(_SPARSE, 5) == [0, 2, 3, 4, 5]
+        assert cone(_SPARSE, 5, 3) == [3, 4, 5]
+        assert cone(_SPARSE, 5, 5) == [5]
+        assert cone(_SPARSE, 4, 5) == []
+
+
 class TestSortingNetwork:
     def test_small_network_shape(self):
         assert sorting_network(4) == [(0, 1), (2, 3), (0, 2), (1, 3), (1, 2)]
@@ -136,6 +158,14 @@ class TestSortingNetwork:
 
 
 class TestThresholdSort:
+    def test_serialized_circuits_pinned(self):
+        # the threshold circuits of every 1 <= k <= n <= 20; a change here changes transcripts
+        h = hashlib.sha256()
+        for n in range(1, 21):
+            for k in range(1, n + 1):
+                h.update(serialize_circuit(build_threshold_sort(n, k)).encode())
+        assert h.hexdigest() == "9b8223c9cc91437dec43efa5f767845fbdf1838ddc968c81fe0b46f6af692be9"
+
     def test_exact_small(self):
         for n in range(1, 10):
             for k in range(1, n + 1):

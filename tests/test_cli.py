@@ -182,6 +182,28 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "--n-max" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, env, name",
+        [
+            (["play", "--game", "clique", "--a", "1", "--b", "3", "--oracle-limit", "-1"], None, "--oracle-limit"),
+            (["oracle", "--oracle-limit", "-1"], None, "--oracle-limit"),
+            (["oracle", "--clique-cap", "-1"], None, "--clique-cap"),
+            (["oracle"], "-1", "--oracle-limit"),
+        ],
+        ids=["play", "oracle", "clique-cap", "env"],
+    )
+    def test_negative_limit_is_2(self, c5_file, capsys, monkeypatch, argv, env, name):
+        if env is not None:
+            monkeypatch.setenv("CLIQUEGAMES_ORACLE_LIMIT", env)
+        assert main([argv[0], c5_file, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{name}: -1 is negative" in captured.err
+
+    def test_oracle_limit_0_turns_validation_off(self, c5_file, capsys):
+        argv = ["play", c5_file, "--game", "biclique", "--a", "1,2", "--b", "3,4", "--oracle-limit", "0"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["promise_verified"] is False
+
     def test_non_utf8_graph_is_3(self, tmp_path, capsys):
         bad = tmp_path / "latin1.col"
         bad.write_bytes(b"c caf\xe9\np edge 2 1\ne 1 2\n")

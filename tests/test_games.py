@@ -248,7 +248,7 @@ class TestSharedNetwork:
 
     def test_network_keeps_no_circuits(self):
         # each k's circuit is extracted on demand; the network holds only
-        # its one gate array, whatever was asked of it before
+        # its one gate array, whatever was asked of it before, and no builder
         g, _ = strip_stars(random_graph(32, 0.5, random.Random(32)))
         idx = nonedges(g)
         cfg = GameConfig()
@@ -259,6 +259,7 @@ class TestSharedNetwork:
         nets = [v for key, v in cfg.circuit_cache.items() if key[0] == g]
         assert len(nets) == 2
         for net in nets:
+            assert not any(isinstance(v, CircuitBuilder) for v in vars(net).values())
             held = [v for v in vars(net).values() if isinstance(v, Circuit)]
             assert held == [net.array] and len(net.array.gates) == len(net.gates)
             for v in vars(net).values():
