@@ -86,10 +86,17 @@ GAME_NAMES = ("biclique", "clique", "relaxed-clique", "edge-biclique")
 
 @dataclass(frozen=True)
 class GameKind:
-    """One of the four game variants; the edge variant carries its bound K."""
+    """One of the four game variants; the edge variant carries its bound K.
+
+    ``has_handshake`` (the clique-style games) and ``crossing_goal`` (the
+    answer must cross a and b) follow from the name and are set when the
+    kind is built, since every play and every referee step reads them.
+    """
 
     name: str
     edge_bound: Optional[int] = None
+    has_handshake: bool = field(init=False, repr=False, compare=False)
+    crossing_goal: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.name not in GAME_NAMES:
@@ -99,14 +106,8 @@ class GameKind:
                 raise ValueError("only the edge-biclique game takes an edge bound")
             if self.edge_bound < 0:
                 raise ValueError("edge bound must be nonnegative")
-
-    @property
-    def has_handshake(self) -> bool:
-        return self.name in ("clique", "relaxed-clique")
-
-    @property
-    def crossing_goal(self) -> bool:
-        return self.name in ("biclique", "edge-biclique")
+        object.__setattr__(self, "has_handshake", self.name in ("clique", "relaxed-clique"))
+        object.__setattr__(self, "crossing_goal", self.name in ("biclique", "edge-biclique"))
 
     def undefined_on(self, g: Graph) -> bool:
         """True if ``g`` rules this game out: the clique-style games need the
@@ -132,11 +133,15 @@ class GameConfig:
     deterministic sorting-network construction.  ``circuit_cache`` is pure
     memoization keyed on immutable inputs (the graph, and the circuit
     family): sharing a config across plays of the same graph avoids
-    rebuilding its nonedge index and its separator networks.  It is not
-    bounded, so the harness caches one graph at a time: ``run_suite`` hands
-    each graph a fresh config with the caller's settings.  Node values are
-    never cached; a play computes the few it reads from the two sets (see
-    ``_Party``).
+    rebuilding its nonedge index and its separator networks, and with them
+    the play tables a network builds on request (its prefix rows, round
+    tables and graft cones).  Equal graphs hash equal, so they share one
+    entry whichever constructor made them.  It is not bounded, so the
+    harness caches one graph at a time: ``run_suite`` hands each graph a
+    fresh config with the caller's settings.  Node values are never cached;
+    a play computes the few it reads from the two sets (see ``_Party``).
+    Transcript entries are not kept here: equal entries are one shared
+    object from a small process-wide memo (``_entry``).
     """
 
     seed: int = 0
@@ -240,9 +245,13 @@ class SeparatorNetwork:
     comes from one pass over it.
 
     A network over vertex monomials also gets ``vertices``, the vertex of
-    each slot.  Plays read it through tables built on a party's first
-    request (``monomial_masks``, ``round``, ``cone``), so networks that only
-    serve circuits never hold one.
+    each slot, and ``pairs``, the nonedge of each variable.  Plays read
+    them through tables built on a party's first request (``prefix_rows``,
+    ``round``, ``cone``), so networks that only serve circuits never hold
+    one.  Every prefix node is then read in closed form: it is the AND of
+    the nonedges from one vertex to a set of partners (a vertex monomial, a
+    subtree of one, or a single variable), so one (vertex bit, partner
+    mask) row per node gives any party's value from its own set mask alone.
     """
 
     def __init__(
@@ -253,15 +262,17 @@ class SeparatorNetwork:
         var_count: int,
         leaves: Callable[[CircuitBuilder], list[int]],
         vertices: Sequence[int] = (),
+        pairs: Sequence[Pair] = (),
     ):
         self.g = g
         self.family = family
         self.slots = slots
         self.vertices = vertices
+        self.pairs = pairs
         self.gates: tuple[Gate, ...] | None = None
         self._var_count = var_count
         self._leaves = leaves
-        self._masks: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        self._rows: tuple[tuple[int, int], ...] | None = None
         self._rounds: dict[int, RoundTable] = {}
 
     def _build(self) -> None:
@@ -307,15 +318,48 @@ class SeparatorNetwork:
         depths = node_depths(self.gates)
         return max(depths[out] for out in self.outputs[1:])
 
-    def monomial_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Per slot, the bit of its vertex and the mask of its nonedge partners."""
-        if self._masks is None:
-            g = self.g
+    def prefix_rows(self) -> tuple[tuple[int, int], ...]:
+        """Per node below ``lead``, the (vertex bit, partner mask) of the AND it is.
+
+        A slot's row is its vertex and that vertex's nonedge partners, read
+        from the graph.  The rows under it follow top-down from that vertex:
+        a variable's partner is its nonedge's other end, an AND's partners
+        are its children's, and the constant 1 of a vertex with no nonedge
+        has none.  Any other gate, a variable off the slot's vertex, or a
+        slot tree that misses some of its vertex's nonedges raises
+        ``CircuitInvariantError``.
+        """
+        if self._rows is None:
+            if self.gates is None:
+                self._build()
+            g, gates, pairs = self.g, self.gates, self.pairs
+            rows: list = [None] * self.lead
+            v = bit = 0
+
+            def partners(node: int) -> int:
+                gate = gates[node]
+                if gate[0] == VAR:
+                    x, y = pairs[gate[1]]
+                    if v != x and v != y:
+                        raise CircuitInvariantError(f"prefix node {node} is a nonedge off vertex {v}")
+                    found = 1 << (x + y - v)
+                elif gate[0] == AND:
+                    found = partners(gate[1]) | partners(gate[2])
+                elif gate == (CONST, 1):
+                    found = 0
+                else:
+                    raise CircuitInvariantError(f"prefix node {node} ({gate[0]}) is not an AND of nonedges")
+                rows[node] = bit, found
+                return found
+
             # nonedges run between any two vertices, or across the parts
             space = g.full_mask if g.bipartition is None else _mask(g.bipartition[1])
-            bits = tuple(1 << v for v in self.vertices)
-            self._masks = bits, tuple(space & ~g.adj[v] & ~bit for v, bit in zip(self.vertices, bits))
-        return self._masks
+            for v, root in zip(self.vertices, self.slot_nodes):
+                bit = 1 << v
+                if partners(root) != space & ~g.adj[v] & ~bit:
+                    raise CircuitInvariantError(f"prefix node {root} is not the monomial of vertex {v}")
+            self._rows = tuple(rows)
+        return self._rows
 
     def round(self, k: int) -> RoundTable:
         """Round k's play table, built on a party's first request for k."""
@@ -407,6 +451,7 @@ def _monomial_network(g: Graph, idx: NonedgeIndex, family: str) -> SeparatorNetw
         len(idx),
         lambda b: _vertex_monomials(b, g, idx, universe),
         universe,
+        idx.pairs,
     )
 
 
@@ -459,6 +504,20 @@ class TranscriptEntry:
     meaning: str
 
 
+@lru_cache(maxsize=512)
+def _entry(round: int, sender: str, bits: str, meaning: str) -> TranscriptEntry:
+    """The channel's checked entry constructor.
+
+    Equal messages share one entry, checked and built once: the plays of
+    the whole n <= 5 catalog send 82 distinct messages in about 1.3 million,
+    so a small bounded memo stands in for building one per message.  A
+    malformed message is never memoized and raises every time.
+    """
+    if sender not in ("A", "B") or not _binary(bits):
+        raise ValueError("malformed message")
+    return TranscriptEntry(round, sender, bits, meaning)
+
+
 @dataclass
 class Transcript:
     entries: list[TranscriptEntry] = field(default_factory=list)
@@ -479,11 +538,8 @@ class _Channel:
         self.transcript = Transcript()
 
     def send(self, sender: str, bits: str, meaning: str) -> str:
-        if sender not in ("A", "B") or not bits or bits.strip("01"):
-            raise ValueError("malformed message")
-        self.transcript.entries.append(
-            TranscriptEntry(len(self.transcript.entries) + 1, sender, bits, meaning)
-        )
+        entries = self.transcript.entries
+        entries.append(_entry(len(entries) + 1, sender, bits, meaning))
         return bits
 
 
@@ -494,6 +550,12 @@ _HANDSHAKE = (
     ("A", "alice-clique-flag", "alice-nonedge"),
     ("B", "bob-clique-flag", "bob-nonedge"),
 )
+
+
+def _binary(bits: str) -> bool:
+    """Is ``bits`` a nonempty string of binary digits?  The one digit test of
+    the channel, the replay and the pair decoder."""
+    return bits != "" and not bits.strip("01")
 
 
 def size_field_width(n: int) -> int:
@@ -514,7 +576,7 @@ def _encode_pair(pair: Pair, n: int) -> str:
 def _decode_pair(bits: str, n: int) -> Pair:
     """Inverse of ``_encode_pair``; rejects anything it could not have sent."""
     w = vertex_field_width(n)
-    if len(bits) != 2 * w or set(bits) - {"0", "1"}:
+    if len(bits) != 2 * w or not _binary(bits):
         raise ValueError(f"a vertex pair takes {2 * w} binary digits, got {bits!r}")
     u, v = int(bits[:w], 2), int(bits[w:], 2)
     if u >= n or v >= n:
@@ -576,21 +638,21 @@ class _Party:
     the transcript alone (``_protocol``).
 
     A party never builds its vector over the nonedges, and it evaluates
-    only what round k can read of the network's array.  Every node is an
-    AND or OR of variables, and a party's value on a variable, or on the
-    AND of all variables at one vertex, follows from its own set mask and
-    that vertex's nonedge-partner mask (``_holds``).  So ``prepare`` sets
-    the slot roots from the masks, and evaluates round k's OR tree
-    (``SeparatorNetwork.round``) in one flat pass over its inputs, the
-    groups' threshold-k nodes, each seeded from the count of the group's
-    slots that hold, since a graft is exactly threshold-k of its slots.
-    The rest is evaluated only when the walk reads it (``_value``): a node
-    of a graft evaluates that graft's round-k cone in one flat pass
-    (``SeparatorNetwork.cone``), which must reproduce the seeded value of
-    its threshold-k node, and a node of a monomial tree is evaluated from
-    its own variables.  The OR tree and each graft entered keep their values
-    in a list of their own, a window on the array, so a play allocates
-    nothing the size of the array.
+    only what round k can read of the network's array.  Every node below
+    the grafts is an AND of the nonedges from one vertex to a set of
+    partners, and a party's value on it follows in closed form from its own
+    set mask and that node's row of ``SeparatorNetwork.prefix_rows``
+    (``_holds``).  So ``prepare`` sets the slot roots from their rows, and
+    evaluates round k's OR tree (``SeparatorNetwork.round``) in one flat
+    pass over its inputs, the groups' threshold-k nodes, each seeded from
+    the count of the group's slots that hold, since a graft is exactly
+    threshold-k of its slots.  The rest is evaluated only when the walk
+    reads it (``_value``): a node of a graft evaluates that graft's round-k
+    cone in one flat pass (``SeparatorNetwork.cone``), which must reproduce
+    the seeded value of its threshold-k node, and a monomial-tree node is
+    one ``_holds`` on its row.  The OR tree and each graft entered keep
+    their values in a list of their own, a window on the array, so a play
+    allocates nothing the size of the array.
     """
 
     def __init__(self, role: str, g: Graph, idx: NonedgeIndex, own: frozenset, kind: GameKind, cfg: GameConfig):
@@ -604,17 +666,18 @@ class _Party:
         self.net: SeparatorNetwork | None = None
         self.mask = 0
         self.gamma = 0
-        # ``prepare`` sets the round, its table and root, which slots hold,
-        # where the layers start and the monomial-tree values (``memo``); the
-        # OR tree (``tree``) and each graft entered (``entered``) get a window
-        # (first node, end, values, base), the last one read in ``window``
+        # ``prepare`` sets the round, its table and root, the prefix rows,
+        # which slots hold and where the layers start; the OR tree (``tree``)
+        # and each graft entered (``entered``) get a window (first node, end,
+        # values, base), the last one read in ``window``
         self.k = self.root = 0
         self.table: RoundTable | None = None
 
     def say(self, meaning: str, width: int, node: int | None) -> str:
         """This party's bits for one message of ``_protocol``."""
         if node is not None:
-            return self.descend_bit(node)
+            # a descend bit: "0" when the left child keeps this party's value
+            return "0" if self._value(self.net.gates[node][1]) == self.target else "1"
         if meaning == "set-size":
             return format(len(self.own), f"0{width}b")
         if meaning.endswith("clique-flag"):
@@ -645,11 +708,11 @@ class _Party:
         self.mask = _mask(self.own)
         if self.role == "B" and self.kind.name == "relaxed-clique":
             self.gamma = _gamma_mask(self.g, self.mask)
-        memo = self.memo = {}
-        ones = 0
-        for slot, (node, bit, partners) in enumerate(zip(net.slot_nodes, *net.monomial_masks())):
-            val = memo[node] = self._holds(bit, partners)
-            ones |= val << slot
+        rows = self.rows = net.prefix_rows()
+        holds, ones = self._holds, 0
+        for slot, node in enumerate(net.slot_nodes):
+            if holds(*rows[node]):
+                ones |= 1 << slot
         self.k, self.root, self.ones, self.entered = k, net.outputs[k], ones, {}
         self.lead, self.starts, self.tree_start = net.lead, net.graft_starts, net.tree_starts[k]
         self.tree = self.window = _NO_WINDOW
@@ -670,31 +733,19 @@ class _Party:
         return window
 
     def _value(self, node: int) -> int:
-        if node >= self.lead:
-            start, end, vals, base = self.window
-            if not start <= node < end:
-                # into the OR tree, or a graft, entered the first time
-                if node >= self.tree_start:
-                    window = self.tree
-                else:
-                    j = bisect_right(self.starts, node) - 1
-                    window = self.entered.get(j) or self._enter(j)
-                start, end, vals, base = self.window = window
-            return vals[node - base]
-        # a node of a monomial tree, at or below a slot root
-        val = self.memo.get(node)
-        if val is None:
-            gate = self.net.gates[node]
-            if gate[0] == VAR:
-                u, v = self.idx.pairs[gate[1]]
-                val = self._holds(1 << u, 1 << v)
+        if node < self.lead:
+            # a node of a monomial tree, at or below a slot root
+            return self._holds(*self.rows[node])
+        start, end, vals, base = self.window
+        if not start <= node < end:
+            # into the OR tree, or a graft, entered the first time
+            if node >= self.tree_start:
+                window = self.tree
             else:
-                val = self._value(gate[1]) and self._value(gate[2])
-            self.memo[node] = val
-        return val
-
-    def descend_bit(self, node: int) -> str:
-        return "0" if self._value(self.net.gates[node][1]) == self.target else "1"
+                j = bisect_right(self.starts, node) - 1
+                window = self.entered.get(j) or self._enter(j)
+            start, end, vals, base = self.window = window
+        return vals[node - base]
 
 
 # --------------------------------------------------------------------------
@@ -1016,7 +1067,7 @@ def replay_transcript(
         e = entries[pos]
         pos += 1
         bad = e.round != pos or e.sender != sender or e.meaning != meaning
-        if bad or len(e.bits) != width or e.bits.strip("01"):
+        if bad or len(e.bits) != width or not _binary(e.bits):
             raise ValueError(
                 f"transcript malformed at entry {pos}: expected round {pos}, "
                 f"sender {sender} and {width} binary digit(s) of {meaning}"

@@ -13,9 +13,10 @@ truth for promise validation and for the verification harness.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 
 class GraphParseError(ValueError):
@@ -64,6 +65,8 @@ class Graph:
     ``edges`` holds normalized pairs (u, v) with u < v.  If ``bipartition``
     is present every edge must cross the two parts.  Instances are immutable
     and hashable, so oracle results can be memoized on the graph itself.
+    The hash is computed once, on the first request: every per-graph cache
+    is keyed on the graph, and a play looks several of them up.
     """
 
     n: int
@@ -90,6 +93,13 @@ class Graph:
             object.__setattr__(self, "labels", tuple(range(1, self.n + 1)))
         elif len(self.labels) != self.n:
             raise ValueError("labels must cover every vertex")
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self.edges, self.bipartition, self.labels))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def adj(self) -> tuple[int, ...]:
@@ -334,11 +344,12 @@ def common_neighbors(g: Graph, b: Iterable[int]) -> frozenset[int]:
 
 def find_nonedge_within(g: Graph, s: Iterable[int]) -> Pair | None:
     """Lexicographically smallest nonedge with both endpoints in ``s``."""
-    members = sorted(set(s))
-    for i, u in enumerate(members):
-        for v in members[i + 1 :]:
-            if not g.adjacent(u, v):
-                return (u, v)
+    m = _mask(s)
+    for u in _bits(m):
+        # the members above u that u is not adjacent to
+        later = m & ~g.adj[u] & -(2 << u)
+        if later:
+            return (u, (later & -later).bit_length() - 1)
     return None
 
 
@@ -407,12 +418,26 @@ def _biclique_universe(g: Graph) -> int:
     return g.full_mask
 
 
-def _submasks(universe: int) -> Iterator[int]:
-    # nonempty submasks, descending
-    s = universe
-    while s:
-        yield s
-        s = (s - 1) & universe
+def _best_biclique(g: Graph, score: Callable[[int, int], int]) -> int:
+    """Max of ``score(|a|, |Γ(a)|)`` over nonempty ``a`` in the biclique universe
+    with a common neighbour; 0 if no such ``a`` exists.
+
+    A depth-first walk over the universe in vertex order carries Γ(a), the
+    AND of the members' adjacency masks.  Γ only shrinks as ``a`` grows, so
+    every superset of a set with no common neighbour is skipped.
+    """
+    adj = g.adj
+    verts = list(_bits(_biclique_universe(g)))
+    best = 0
+    stack = [(0, g.full_mask, 0)]  # (next vertex position, Γ(a), |a|)
+    while stack:
+        start, gamma, size = stack.pop()
+        for i in range(start, len(verts)):
+            common = gamma & adj[verts[i]]
+            if common:
+                best = max(best, score(size + 1, common.bit_count()))
+                stack.append((i + 1, common, size + 1))
+    return best
 
 
 def _common_neighbor_mask(g: Graph, m: int) -> int:
@@ -433,24 +458,14 @@ def max_biclique_size(g: Graph, limit: int = 16) -> int:
     part (cross bicliques only).
     """
     _check_limit(g, limit, "max_biclique_size")
-    best = 1 if g.n else 0
-    for a_mask in _submasks(_biclique_universe(g)):
-        gamma = _common_neighbor_mask(g, a_mask)
-        if gamma:
-            best = max(best, a_mask.bit_count() + gamma.bit_count())
-    return best
+    return max(1 if g.n else 0, _best_biclique(g, operator.add))
 
 
 @lru_cache(maxsize=_ORACLE_CACHE_SIZE)
 def max_edge_biclique(g: Graph, limit: int = 16) -> int:
     """Exact maximum of |a| * |b| over bicliques (a, b); 0 if there are none."""
     _check_limit(g, limit, "max_edge_biclique")
-    best = 0
-    for a_mask in _submasks(_biclique_universe(g)):
-        gamma = _common_neighbor_mask(g, a_mask)
-        if gamma:
-            best = max(best, a_mask.bit_count() * gamma.bit_count())
-    return best
+    return _best_biclique(g, operator.mul)
 
 
 def has_complete_star(g: Graph) -> bool:

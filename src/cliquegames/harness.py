@@ -41,6 +41,7 @@ from .graph import (
     Graph,
     OracleLimitError,
     TrivialGraphError,
+    _mask,
     graph_from_edges,
     maximal_cliques,
     nonedges,
@@ -171,22 +172,29 @@ def enumerate_valid_inputs(
 
     bound = promise_bound(kind, g)
     a_universe, b_universe = _sides(g, kind)
+    a_sets = _subset_records(g, a_universe)
+    b_sets = a_sets if b_universe == a_universe else _subset_records(g, b_universe)
+    # Bob's sets by size, each size in canonical order: those disjoint from
+    # a are the subsets of the rest, in the order ``_subsets`` gives them
+    b_by_size: list[list[tuple[int, frozenset, bool]]] = [[] for _ in range(len(b_universe) + 1)]
+    for record in b_sets:
+        b_by_size[len(record[1])].append(record)
     out: list[ValidInput] = []
-    for a_sub in _subsets(a_universe):
-        rest = [v for v in b_universe if v not in a_sub]
-        for b_sub in _subsets(rest):
-            if kind.crossing_goal and (not a_sub or not b_sub):
+    for a_mask, a, a_clique in a_sets:
+        if kind.crossing_goal and not a:
+            continue
+        for size, records in enumerate(b_by_size):
+            if (kind.crossing_goal and not size) or promise_size(kind, len(a), size) <= bound:
                 continue
-            if promise_size(kind, len(a_sub), len(b_sub)) <= bound:
-                continue
-            out.append(
-                ValidInput(
-                    a=frozenset(a_sub),
-                    b=frozenset(b_sub),
-                    both_cliques=g.is_clique(a_sub) and g.is_clique(b_sub),
-                )
-            )
+            for b_mask, b, b_clique in records:
+                if not a_mask & b_mask:
+                    out.append(ValidInput(a=a, b=b, both_cliques=a_clique and b_clique))
     return out
+
+
+def _subset_records(g: Graph, universe: list[int]) -> list[tuple[int, frozenset, bool]]:
+    """(mask, set, is a clique) of every subset of ``universe``, in ``_subsets`` order."""
+    return [(_mask(sub), frozenset(sub), g.is_clique(sub)) for sub in _subsets(universe)]
 
 
 def _sides(g: Graph, kind: GameKind) -> tuple[list[int], list[int]]:

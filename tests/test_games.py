@@ -9,6 +9,7 @@ import pytest
 import cliquegames.games as games_module
 from cliquegames.circuit import (
     CONST,
+    VAR,
     Circuit,
     CircuitBuilder,
     CircuitInvariantError,
@@ -51,7 +52,7 @@ from cliquegames.games import (
     _encode_pair,
     monomial_universe,
 )
-from cliquegames.graph import graph_from_edges, max_clique_size, nonedges, strip_stars
+from cliquegames.graph import graph_from_edges, max_clique_size, nonedges, parse_graph, strip_stars
 from cliquegames.harness import (
     catalog_all_graphs,
     complete_bipartite_graph,
@@ -266,6 +267,22 @@ class TestSharedNetwork:
                 if isinstance(v, (dict, list, tuple)):
                     items = v.values() if isinstance(v, dict) else v
                     assert not any(isinstance(x, Circuit) for x in items)
+
+
+    def test_equal_graphs_share_one_cache_entry(self):
+        # the same P4 from the parser, from an edge list and from stripping a
+        # star off P4 + one vertex: one config caches one index and one network
+        stripped, _ = strip_stars(
+            graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4)])
+        )
+        parsed = parse_graph("p edge 4 3\ne 1 2\ne 2 3\ne 3 4\n")
+        copies = [parsed, graph_from_edges(4, [(0, 1), (2, 1), (3, 2)]), stripped]
+        cfg = GameConfig()
+        outcomes = [play(BICLIQUE, g, {0, 1}, {2, 3}, cfg).to_json_obj() for g in copies]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert set(cfg.circuit_cache) == {("nonedges", stripped), (stripped, "threshold")}
+        net = cfg.circuit_cache[stripped, "threshold"]
+        assert all(cfg.circuit_cache[g, "threshold"] is net for g in copies)
 
 
 def _outcome_or_error(run):
@@ -500,7 +517,7 @@ class TestGraftSeeds:
             raise AssertionError("a circuit-only network built a play table")
 
         with monkeypatch.context() as m:
-            for table in ("monomial_masks", "round", "cone"):
+            for table in ("prefix_rows", "round", "cone"):
                 m.setattr(games_module.SeparatorNetwork, table, forbidden)
             for suite in ("incidence-separation", "clique-separation", "relaxed-separation"):
                 assert run_suite(suite, catalog_all_graphs(4)).passed
@@ -514,6 +531,91 @@ class TestGraftSeeds:
         trees, cones = _play_tables(cfg)["clique"]
         assert trees == [len(a)] and cones and all(k == len(a) for _, k in cones)
         assert _play_tables(cfg)["threshold"] == ([], [])
+
+
+class TestPrefixRows:
+    """A party reads every node below the grafts from one (vertex bit,
+    partner mask) row of its network; a prefix gate that is no AND of one
+    vertex's nonedges has no row, and a slot tree missing one of them is no
+    monomial: both fail loudly, whichever party asks."""
+
+    @staticmethod
+    def _mutate_vertex_0(monkeypatch, mutate):
+        honest = games_module._vertex_monomials
+
+        def mutated(b, g, idx, vertices):
+            monomials = honest(b, g, idx, vertices)
+            monomials[0] = mutate(b, idx, monomials)
+            return monomials
+
+        monkeypatch.setattr(games_module, "_vertex_monomials", mutated)
+
+    @staticmethod
+    def _or_of_vertex_0(b, idx, monomials):
+        return b.or_tree([b.var(i) for i, pair in enumerate(idx.pairs) if 0 in pair])
+
+    @staticmethod
+    def _vertex_0_and_vertex_3(b, idx, monomials):
+        return b.and_(monomials[0], monomials[3])
+
+    @staticmethod
+    def _one_nonedge_of_vertex_0(b, idx, monomials):
+        return b.var(idx.pairs.index((0, 2)))
+
+    # each mutation, and the error that names it
+    _errors = {
+        "_or_of_vertex_0": r"\(OR\) is not an AND of nonedges",
+        "_vertex_0_and_vertex_3": "is a nonedge off vertex 0",
+        "_one_nonedge_of_vertex_0": "is not the monomial of vertex 0",
+    }
+
+    @pytest.mark.parametrize("mutate", list(_errors))
+    @pytest.mark.parametrize("role", ["A", "B"])
+    def test_gate_without_a_row_fails_for_both_roles(self, p4, monkeypatch, mutate, role):
+        # P4's nonedges (0, 2), (0, 3), (1, 3): vertex 0 has two, so its OR is a gate
+        self._mutate_vertex_0(monkeypatch, getattr(self, mutate))
+        error = self._errors[mutate]
+        cfg = GameConfig()
+        idx = nonedges(p4)
+        own = frozenset({0, 1} if role == "A" else {2, 3})
+        party = games_module._Party(role, p4, idx, own, BICLIQUE, cfg)
+        with pytest.raises(CircuitInvariantError, match=f"prefix node [0-9]+ {error}"):
+            party.prepare(2)
+        with pytest.raises(CircuitInvariantError, match=f"prefix node [0-9]+ {error}"):
+            play(BICLIQUE, p4, {0, 1}, {2, 3}, cfg)
+
+    def test_rows_are_the_monomials(self):
+        # every prefix node's row names exactly the nonedges of the variables
+        # under it, and a slot's row is its vertex's monomial
+        graphs = catalog_all_graphs(5) + [
+            graph_from_edges(5, [(0, 3), (1, 3), (1, 4), (2, 4)], bipartition=({0, 1, 2}, {3, 4}))
+        ]
+        for g in graphs:
+            idx = nonedges(g)
+            for family in ("threshold", "clique"):
+                if family == "clique" and g.bipartition is not None:
+                    continue
+                net = games_module._monomial_network(g, idx, family)
+                rows = net.prefix_rows()
+                assert len(rows) == net.lead
+
+                def named(node):
+                    bit, partners = rows[node]
+                    v = bit.bit_length() - 1
+                    return {frozenset((v, x)) for x in range(g.n) if partners >> x & 1}
+
+                def under(node):
+                    gate = net.gates[node]
+                    if gate[0] == VAR:
+                        return {frozenset(idx.pairs[gate[1]])}
+                    return set() if gate[0] == CONST else under(gate[1]) | under(gate[2])
+
+                for node in range(net.lead):
+                    assert named(node) == under(node), (sorted(g.edges), family, node)
+                universe = range(g.n) if family == "clique" else monomial_universe(g)
+                for v, node in zip(universe, net.slot_nodes):
+                    want = {frozenset(p) for p in idx.pairs if v in p}
+                    assert named(node) == want, (sorted(g.edges), family, v)
 
 
 class TestInducedCliqueCircuit:
@@ -852,6 +954,36 @@ class TestTranscripts:
     def test_field_widths(self):
         assert size_field_width(4) == 3 and size_field_width(5) == 3
         assert vertex_field_width(5) == 3 and vertex_field_width(4) == 2
+
+    def test_equal_entries_are_one_object(self, p4):
+        first, again = (play(BICLIQUE, p4, {0, 1}, {2, 3}).transcript.entries for _ in range(2))
+        assert first == again and all(x is y for x, y in zip(first, again))
+        # a changed copy is a new entry; the shared one is untouched
+        forged = dataclasses.replace(first[0], bits="011")
+        assert forged.bits == "011" and again[0].bits == "010"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first[0].bits = "011"
+
+    @pytest.mark.parametrize("sender, bits", [("C", "0"), ("A", ""), ("B", " 1"), ("A", "012"), ("B", "1 ")])
+    def test_channel_rejects_every_malformed_message(self, sender, bits):
+        ch = _Channel()
+        for _ in range(2):  # never memoized
+            with pytest.raises(ValueError, match="malformed message"):
+                ch.send(sender, bits, "descend")
+        assert ch.send("A", "01", "descend") == "01"
+        assert [(e.round, e.sender, e.bits) for e in ch.transcript.entries] == [(1, "A", "01")]
+
+    def test_one_digit_test_in_channel_replay_and_decoder(self, c5):
+        # " 0" and "0 " hide a digit from a one-sided test; all three places reject them
+        entries = list(play(CLIQUE, c5, {0, 2}, {4}).transcript.entries)
+        assert entries[1].bits == "000010"
+        for bits in (" 00010", "00001 ", "0000 0"):
+            with pytest.raises(ValueError, match="malformed message"):
+                _Channel().send("A", bits, "alice-nonedge")
+            with pytest.raises(ValueError, match="binary digit"):
+                replay_transcript(c5, CLIQUE, [entries[0], dataclasses.replace(entries[1], bits=bits)])
+            with pytest.raises(ValueError, match="binary digits"):
+                _decode_pair(bits, 5)
 
 
 class TestReplay:

@@ -260,6 +260,17 @@ class TestOracles:
         assert max_biclique_size(g) == brute_max_biclique(g) == 3
         assert max_edge_biclique(g) == brute_max_edge_biclique(g) == 2
 
+    def test_bipartite_declared_against_brute(self):
+        # the pruned walk over the first part, on parts of every balance at n = 10..12
+        rng = random.Random(1012)
+        for n in (10, 11, 12):
+            for left in (1, n // 3, n // 2, n - 2):
+                for p in (0.2, 0.5, 0.8, 1.0):
+                    edges = [(u, v) for u in range(left) for v in range(left, n) if rng.random() < p]
+                    g = graph_from_edges(n, edges, bipartition=(range(left), range(left, n)))
+                    assert max_biclique_size(g) == brute_max_biclique(g), (left, sorted(edges))
+                    assert max_edge_biclique(g) == brute_max_edge_biclique(g), (left, sorted(edges))
+
     def test_clique_never_exceeds_biclique(self):
         for n in range(2, 7):
             for g in all_labeled_graphs(n):
@@ -305,6 +316,16 @@ class TestFindNonedgeWithin:
         g = graph_from_edges(4, [])
         assert find_nonedge_within(g, {1, 2, 3}) == (1, 2)
 
+    def test_matches_pairwise_scan(self):
+        for g in catalog_all_graphs(5):
+            for m in range(1 << g.n):
+                members = [v for v in range(g.n) if m >> v & 1]
+                want = next(
+                    ((u, v) for u, v in itertools.combinations(members, 2) if not g.adjacent(u, v)), None
+                )
+                # any order, with repeats
+                assert find_nonedge_within(g, members[::-1] + members[:1]) == want, (sorted(g.edges), members)
+
 
 class TestGraphType:
     def test_rejects_bad_edges(self):
@@ -320,3 +341,14 @@ class TestGraphType:
     def test_hashable_and_comparable(self):
         assert path_graph(4) == path_graph(4)
         assert hash(path_graph(4)) == hash(path_graph(4))
+        # P4 from the parser, from an edge list, and from stripping a vertex
+        # adjacent to all four off P4 + 1: equal, with labels 1..4
+        starred = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4)])
+        stripped, removed = strip_stars(starred)
+        parsed, built = parse_graph(P4_TEXT), graph_from_edges(4, [(2, 3), (1, 0), (1, 2)])
+        assert removed == {4}
+        assert parsed == built == stripped
+        assert hash(parsed) == hash(built) == hash(stripped) == hash((4, built.edges, None, (1, 2, 3, 4)))
+        # labels still count
+        relabelled = Graph(n=4, edges=built.edges, labels=(5, 6, 7, 8))
+        assert relabelled != built and hash(relabelled) == hash((4, built.edges, None, (5, 6, 7, 8)))
