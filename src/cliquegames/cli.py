@@ -20,7 +20,6 @@ from .games import (
     GameKind,
     _game_network,
     bit_bound,
-    game_circuit,
     kind_from_name,
     play,
 )
@@ -33,7 +32,6 @@ from .graph import (
     max_clique_size,
     max_edge_biclique,
     maximal_cliques,
-    nonedges,
     parse_graph,
     strip_stars,
 )
@@ -161,11 +159,10 @@ def _cmd_build_circuit(args) -> int:
     g, _ = _load_stripped(args.file)
     kind = _game_kind(args)
     cfg = _config(args)
-    idx = nonedges(g)
-    slots = _game_network(g, idx, kind, cfg).slots
-    if not 1 <= args.k <= slots:
-        raise UsageError(f"--k: {args.k} is outside 1..{slots}")
-    circ = game_circuit(g, idx, kind, args.k, cfg)
+    net = _game_network(g, kind)
+    if not 1 <= args.k <= net.slots:
+        raise UsageError(f"--k: {args.k} is outside 1..{net.slots}")
+    circ = net.circuit(args.k)
     text = serialize_circuit(circ)
     if args.output == "json":
         print(

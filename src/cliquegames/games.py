@@ -125,28 +125,24 @@ def kind_from_name(name: str, edge_bound: Optional[int] = None) -> GameKind:
     return GameKind(name, edge_bound)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GameConfig:
-    """Settings shared by play and the harness, plus a per-graph memo table.
+    """Settings shared by play and the harness; it holds no cache.
 
     ``seed`` is only recorded in the output: every circuit is the
-    deterministic sorting-network construction.  ``circuit_cache`` is pure
-    memoization keyed on immutable inputs (the graph, and the circuit
-    family): sharing a config across plays of the same graph avoids
-    rebuilding its nonedge index and its separator networks, and with them
-    the play tables a network builds on request (its prefix rows, round
-    tables and graft cones).  Equal graphs hash equal, so they share one
-    entry whichever constructor made them.  It is not bounded, so the
-    harness caches one graph at a time: ``run_suite`` hands each graph a
-    fresh config with the caller's settings.  Node values are never cached;
-    a play computes the few it reads from the two sets (see ``_Party``).
-    Transcript entries are not kept here: equal entries are one shared
+    deterministic sorting-network construction.  ``oracle_limit`` is the
+    largest n the exact oracles are asked about (promise checks, valid-input
+    enumeration).  The
+    separator networks depend on the graph and the circuit family alone,
+    so they live in one bounded module-level memo (``_network``), keyed on
+    values: equal graphs share one entry whichever constructor made them.
+    Node values are never cached; a play computes the few it reads from the
+    two sets (see ``_Party``).  Equal transcript entries are one shared
     object from a small process-wide memo (``_entry``).
     """
 
     seed: int = 0
     oracle_limit: int = 16
-    circuit_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def incidence_vector(idx: NonedgeIndex, s: Iterable[int]) -> tuple[int, ...]:
@@ -194,9 +190,9 @@ def monomial_universe(g: Graph) -> list[int]:
     return list(range(g.n))
 
 
-def _vertex_monomials(b: CircuitBuilder, g: Graph, idx: NonedgeIndex, vertices) -> list[int]:
+def _vertex_monomials(b: CircuitBuilder, g: Graph, pairs: Sequence[Pair], vertices) -> list[int]:
     incident: list[list[int]] = [[] for _ in range(g.n)]
-    for i, (x, y) in enumerate(idx.pairs):
+    for i, (x, y) in enumerate(pairs):
         incident[x].append(i)
         incident[y].append(i)
     monomials = []
@@ -223,11 +219,20 @@ class Graft(NamedTuple):
 class SeparatorNetwork:
     """Every k's separator circuit of one (graph, family), in one gate array.
 
-    The array is built on the first request.  ``leaves(b)`` builds one input
-    node per slot on the builder ``b`` and returns them: the vertex
-    monomials for game circuits, plain vertex variables for
-    ``induced_clique_circuit``.  Those nodes and the trees under them are the
-    prefix, the ids below ``lead``.  Above it lie the grafts, back to back:
+    ``family`` is ``"threshold"`` (threshold-k of the vertex monomials of
+    the monomial universe), ``"clique"`` (the induced-k-clique circuit
+    applied to the monomials of every vertex) or ``"induced"`` (the
+    induced-k-clique circuit on one variable per vertex).  The network works
+    out from the graph its slots, one per vertex of ``vertices``, and its
+    variables: one per nonedge of ``pairs`` (``nonedges`` order) for the
+    monomial families, one per vertex for ``"induced"``, whose ``pairs`` is
+    empty.  Networks come from one bounded memo (``_network``), since they
+    depend on nothing else.
+
+    The array is built on the first request.  Each slot gets one input
+    node: its vertex's monomial, or its vertex's variable for
+    ``"induced"``.  Those nodes and the trees under them are the prefix,
+    the ids below ``lead``.  Above it lie the grafts, back to back:
     one whole sorting network (``threshold_network``) per group of slots,
     where the threshold family has one group of every slot and the clique
     family one per maximal clique, in ``maximal_cliques`` order.  Each is
@@ -244,42 +249,34 @@ class SeparatorNetwork:
     array is validated once, as one circuit (``array``), and ``depth``
     comes from one pass over it.
 
-    A network over vertex monomials also gets ``vertices``, the vertex of
-    each slot, and ``pairs``, the nonedge of each variable.  Plays read
-    them through tables built on a party's first request (``prefix_rows``,
-    ``round``, ``cone``), so networks that only serve circuits never hold
-    one.  Every prefix node is then read in closed form: it is the AND of
+    Plays read a monomial network through tables built on a party's first
+    request (``prefix_rows``, ``round``, ``cone``), so networks that only
+    serve circuits never hold one.  Every prefix node is then read in closed form: it is the AND of
     the nonedges from one vertex to a set of partners (a vertex monomial, a
     subtree of one, or a single variable), so one (vertex bit, partner
     mask) row per node gives any party's value from its own set mask alone.
     """
 
-    def __init__(
-        self,
-        g: Graph,
-        family: str,
-        slots: int,
-        var_count: int,
-        leaves: Callable[[CircuitBuilder], list[int]],
-        vertices: Sequence[int] = (),
-        pairs: Sequence[Pair] = (),
-    ):
+    def __init__(self, g: Graph, family: str):
         self.g = g
         self.family = family
-        self.slots = slots
-        self.vertices = vertices
-        self.pairs = pairs
+        self.vertices = monomial_universe(g) if family == "threshold" else range(g.n)
+        self.slots = len(self.vertices)
+        self.pairs: tuple[Pair, ...] = () if family == "induced" else nonedges(g).pairs
         self.gates: tuple[Gate, ...] | None = None
-        self._var_count = var_count
-        self._leaves = leaves
+        self._var_count = g.n if family == "induced" else len(self.pairs)
         self._rows: tuple[tuple[int, int], ...] | None = None
         self._rounds: dict[int, RoundTable] = {}
 
     def _build(self) -> None:
         b = CircuitBuilder(self._var_count)
-        self.slot_nodes = slot_nodes = self._leaves(b)
+        if self.family == "induced":
+            slot_nodes = [b.var(v) for v in self.vertices]
+        else:
+            slot_nodes = _vertex_monomials(b, self.g, self.pairs, self.vertices)
+        self.slot_nodes = slot_nodes
         self.lead = len(b)
-        groups = maximal_cliques(self.g) if self.family == "clique" else [tuple(range(self.slots))]
+        groups = [tuple(range(self.slots))] if self.family == "threshold" else maximal_cliques(self.g)
         self.grafts = []
         for group in groups:
             network, thresholds = threshold_network(len(group))
@@ -436,23 +433,15 @@ def _run(inputs: list[int], block: Block) -> list[int]:
     return vals
 
 
-def _monomial_network(g: Graph, idx: NonedgeIndex, family: str) -> SeparatorNetwork:
-    """The network of game circuits over the vertex monomials of ``g``.
-
-    ``family`` is ``"threshold"`` (threshold-k of the monomials of the
-    monomial universe) or ``"clique"`` (the induced-k-clique circuit applied
-    to the monomials of every vertex).
-    """
-    universe = range(g.n) if family == "clique" else monomial_universe(g)
-    return SeparatorNetwork(
-        g,
-        family,
-        len(universe),
-        len(idx),
-        lambda b: _vertex_monomials(b, g, idx, universe),
-        universe,
-        idx.pairs,
-    )
+# Networks held at once.  The heaviest traffic, the benchmark's big-graphs
+# workload, interleaves five (graph, family) networks in every round (plays
+# on G(16, 1/2) and G(64, 1/2) in both families, and on G(128, 1/2) in the
+# threshold family); the suites and the CLI use one at a time.  Eight keep
+# all five warm.
+@lru_cache(maxsize=8)
+def _network(g: Graph, family: str) -> SeparatorNetwork:
+    """The one ``SeparatorNetwork`` of (``g``, ``family``), shared by every caller."""
+    return SeparatorNetwork(g, family)
 
 
 def monomial_threshold_circuit(g: Graph, idx: NonedgeIndex, k: int) -> Circuit:
@@ -460,9 +449,10 @@ def monomial_threshold_circuit(g: Graph, idx: NonedgeIndex, k: int) -> Circuit:
 
     Fires exactly when at least k vertices (of the monomial universe) have
     all their incident nonedge variables set, i.e. when the input covers the
-    incident-nonedge set of some k-element vertex set.
+    incident-nonedge set of some k-element vertex set.  The variables are
+    ``nonedges(g)``, which ``idx`` names; the circuit does not read it.
     """
-    return _monomial_network(g, idx, "threshold").circuit(k)
+    return _network(g, "threshold").circuit(k)
 
 
 def induced_clique_circuit(g: Graph, k: int) -> Circuit:
@@ -472,13 +462,7 @@ def induced_clique_circuit(g: Graph, k: int) -> Circuit:
     maximal cliques of size >= k, a threshold-k circuit restricted to that
     clique's variables.  Constant 0 when no maximal clique is large enough.
     """
-    return _induced_network(g).circuit(k)
-
-
-# the induced-clique suite asks for every k of one graph in a row
-@lru_cache(maxsize=4)
-def _induced_network(g: Graph) -> SeparatorNetwork:
-    return SeparatorNetwork(g, "clique", g.n, g.n, lambda b: [b.var(v) for v in range(g.n)])
+    return _network(g, "induced").circuit(k)
 
 
 def monomial_clique_circuit(g: Graph, idx: NonedgeIndex, k: int) -> Circuit:
@@ -487,9 +471,10 @@ def monomial_clique_circuit(g: Graph, idx: NonedgeIndex, k: int) -> Circuit:
     Equivalent to the OR of monomials over k-cliques only, which is what the
     clique game needs: a clique ``b`` that shares no vertex with a clique
     ``c`` and satisfies the promise always kills every monomial.  Like the
-    game, it rejects a bipartite-declared graph.
+    game, it rejects a bipartite-declared graph.  The variables are
+    ``nonedges(g)``, which ``idx`` names; the circuit does not read it.
     """
-    return game_circuit(g, idx, CLIQUE, k, GameConfig())
+    return _game_network(g, CLIQUE).circuit(k)
 
 
 # --------------------------------------------------------------------------
@@ -518,9 +503,14 @@ def _entry(round: int, sender: str, bits: str, meaning: str) -> TranscriptEntry:
     return TranscriptEntry(round, sender, bits, meaning)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Transcript:
-    entries: list[TranscriptEntry] = field(default_factory=list)
+    """The entries of one play, in order; built from any iterable of them."""
+
+    entries: tuple[TranscriptEntry, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(self.entries))
 
     @property
     def total_bits(self) -> int:
@@ -535,10 +525,14 @@ class Transcript:
 
 class _Channel:
     def __init__(self):
-        self.transcript = Transcript()
+        self.entries: list[TranscriptEntry] = []
+
+    @property
+    def transcript(self) -> Transcript:
+        return Transcript(self.entries)
 
     def send(self, sender: str, bits: str, meaning: str) -> str:
-        entries = self.transcript.entries
+        entries = self.entries
         entries.append(_entry(len(entries) + 1, sender, bits, meaning))
         return bits
 
@@ -590,38 +584,21 @@ def _decode_pair(bits: str, n: int) -> Pair:
 # game circuits and the two parties
 
 
-def _family(kind: GameKind) -> str:
-    return "clique" if kind.name == "clique" else "threshold"
-
-
-def _game_network(g: Graph, idx: NonedgeIndex, kind: GameKind, cfg: GameConfig) -> SeparatorNetwork:
+def _game_network(g: Graph, kind: GameKind) -> SeparatorNetwork:
     if kind.undefined_on(g):
         raise ValueError("clique games need the full nonedge space; drop the bipartition")
-    family = _family(kind)
-    key = (g, family)
-    net = cfg.circuit_cache.get(key)
-    if net is None:
-        net = _monomial_network(g, idx, family)
-        cfg.circuit_cache[key] = net
-    return net
+    return _network(g, "clique" if kind.name == "clique" else "threshold")
 
 
 def game_circuit(g: Graph, idx: NonedgeIndex, kind: GameKind, k: int, cfg: GameConfig) -> Circuit:
     """The circuit both parties deterministically rebuild for round k.
 
     Extracted from the network's array on every call; a play walks the same
-    gates in the array itself, from round k's root.
+    gates in the array itself, from round k's root.  The circuit depends on
+    the graph, the kind and k alone: its variables are ``nonedges(g)``,
+    which ``idx`` names, and ``cfg`` holds no circuit.  Neither is read.
     """
-    return _game_network(g, idx, kind, cfg).circuit(k)
-
-
-def _nonedge_index(g: Graph, cfg: GameConfig) -> NonedgeIndex:
-    key = ("nonedges", g)
-    idx = cfg.circuit_cache.get(key)
-    if idx is None:
-        idx = nonedges(g)
-        cfg.circuit_cache[key] = idx
-    return idx
+    return _game_network(g, kind).circuit(k)
 
 
 # an empty window: every node above the monomial trees is outside it
@@ -655,14 +632,12 @@ class _Party:
     allocates nothing the size of the array.
     """
 
-    def __init__(self, role: str, g: Graph, idx: NonedgeIndex, own: frozenset, kind: GameKind, cfg: GameConfig):
+    def __init__(self, role: str, g: Graph, own: frozenset, kind: GameKind):
         self.role = role
         self.target = 1 if role == "A" else 0
         self.g = g
-        self.idx = idx
         self.own = own
         self.kind = kind
-        self.cfg = cfg
         self.net: SeparatorNetwork | None = None
         self.mask = 0
         self.gamma = 0
@@ -703,7 +678,7 @@ class _Party:
         return 0 if partners and (m & bit or partners & m or (gm & bit and partners & gm)) else 1
 
     def prepare(self, k: int) -> None:
-        net = self.net = _game_network(self.g, self.idx, self.kind, self.cfg)
+        net = self.net = _game_network(self.g, self.kind)
         table = self.table = net.round(k)
         self.mask = _mask(self.own)
         if self.role == "B" and self.kind.name == "relaxed-clique":
@@ -779,7 +754,6 @@ def _descend(
 def _protocol(
     g: Graph,
     kind: GameKind,
-    cfg: GameConfig,
     speak: Callable[[str, str, int, Optional[int]], str],
     stand: Optional[Callable[[int], None]] = None,
 ) -> Pair:
@@ -791,17 +765,16 @@ def _protocol(
     then Alice's set size k; then one descend bit per gate on the walk of
     round k's circuit, from its root in the network's array, where ``node``
     is that gate (it is None for every other message).  ``stand`` is handed
-    to ``_descend``.
+    to ``_descend``.  The walk's variable maps to its nonedge through the
+    network's ``pairs``.
     """
     if kind.has_handshake:
         for sender, flag, nonedge in _HANDSHAKE:
             if speak(sender, flag, 1, None) == "0":
                 return _decode_pair(speak(sender, nonedge, 2 * vertex_field_width(g.n), None), g.n)
     k = int(speak("A", "set-size", size_field_width(g.n), None), 2)
-    idx = _nonedge_index(g, cfg)
-    net = _game_network(g, idx, kind, cfg)
-    root = net.output(k)
-    return idx.pair(_descend(net.gates, root, speak, stand))
+    net = _game_network(g, kind)
+    return net.pairs[_descend(net.gates, net.output(k), speak, stand)]
 
 
 def find_separating_variable(
@@ -993,10 +966,9 @@ def play(
     b = frozenset(b)
     _check_structure(kind, g, a, b)
     promise_verified, edge_bound = _check_promise(kind, g, a, b, cfg)
-    idx = _nonedge_index(g, cfg)
     ch = _Channel()
-    alice = _Party("A", g, idx, a, kind, cfg)
-    bob = _Party("B", g, idx, b, kind, cfg)
+    alice = _Party("A", g, a, kind)
+    bob = _Party("B", g, b, kind)
 
     def speak(sender: str, meaning: str, width: int, node: Optional[int]) -> str:
         bits = ch.send(sender, (alice if sender == "A" else bob).say(meaning, width, node), meaning)
@@ -1021,7 +993,7 @@ def play(
                 f"{value}, expected {party.target} [game={kind.name}, k={len(a)}]"
             )
 
-    nonedge = _protocol(g, kind, cfg, speak, stand)
+    nonedge = _protocol(g, kind, speak, stand)
     if nonedge in g.edges:
         raise CircuitInvariantError("the agreed pair is an edge, not a nonedge")
     return Outcome(
@@ -1055,8 +1027,9 @@ def replay_transcript(
     descend bit, the op of the gate the walk stands at.  A handshake pair
     must be a nonedge of ``g``.  Anything else raises ``ValueError``, except
     a walk onto a constant leaf, which raises ``CircuitInvariantError``.
+    The decoding depends on the graph, the kind and the bits alone;
+    ``config`` is accepted and not read.
     """
-    cfg = config if config is not None else GameConfig()
     entries = transcript.entries if isinstance(transcript, Transcript) else list(transcript)
     pos = 0
 
@@ -1074,7 +1047,7 @@ def replay_transcript(
             )
         return e.bits
 
-    pair = _protocol(g, kind, cfg, take)
+    pair = _protocol(g, kind, take)
     if pair in g.edges:
         raise ValueError(f"handshake pair {pair} is an edge, not a nonedge")
     if pos != len(entries):
@@ -1091,10 +1064,11 @@ def bit_bound(kind: GameKind, g: Graph, config: Optional[GameConfig] = None) -> 
     games; there the handshake branch, two flags and one vertex pair, is the
     other way out.  The depth comes from one pass over the network's gate
     array, which holds every k's circuit, so it is a checkable bound rather
-    than an asymptotic claim, and later plays find the network built.
+    than an asymptotic claim, and later plays find the network built.  The
+    bound depends on the graph and the kind alone; ``config`` is accepted
+    and not read.
     """
-    cfg = config if config is not None else GameConfig()
-    circuit_branch = size_field_width(g.n) + _game_network(g, _nonedge_index(g, cfg), kind, cfg).depth
+    circuit_branch = size_field_width(g.n) + _game_network(g, kind).depth
     if not kind.has_handshake:
         return circuit_branch
     return max(2 + 2 * vertex_field_width(g.n), 2 + circuit_branch)

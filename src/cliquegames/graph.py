@@ -127,18 +127,12 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def is_clique(self, s: Iterable[int]) -> bool:
         m = _mask(s)
         for v in _bits(m):
             if m & ~self.adj[v] & ~(1 << v):
                 return False
         return True
-
-    def label_of(self, v: int):
-        return self.labels[v]
 
     @cached_property
     def label_to_id(self) -> dict:
@@ -292,9 +286,6 @@ class NonedgeIndex:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def __iter__(self) -> Iterator[Pair]:
-        return iter(self.pairs)
 
     def pair(self, i: int) -> Pair:
         return self.pairs[i]

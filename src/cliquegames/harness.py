@@ -370,7 +370,7 @@ def _referee_play(
 def _make_separation_suite(kind: GameKind):
     def run(g: Graph, cfg: GameConfig, report: SuiteReport) -> None:
         idx = nonedges(g)
-        slots = _game_network(g, idx, kind, cfg).slots
+        slots = _game_network(g, kind).slots
         bound = promise_bound(kind, g)
         # the sets each side can hold
         if kind == CLIQUE:
@@ -434,9 +434,9 @@ def run_suite(
     """Run one named suite over a graph catalog; failures are recorded, not raised.
 
     The clique-style suites skip bipartite-declared graphs, where those games
-    are not defined.  Each graph gets a fresh config with the caller's seed
-    and oracle limit, so the harness caches one graph's circuits at a time
-    and leaves the caller's config untouched.
+    are not defined.  Every graph is checked under the caller's config,
+    which holds settings only; the circuits come from the bounded network
+    memo of ``games``.
     """
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(_SUITES)}")
@@ -448,7 +448,7 @@ def run_suite(
         if kind is not None and kind.undefined_on(g):
             continue
         report.graphs_tested += 1
-        check(g, GameConfig(seed=cfg.seed, oracle_limit=cfg.oracle_limit), report)
+        check(g, cfg, report)
     report.wall_time = time.perf_counter() - start
     return report
 

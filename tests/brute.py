@@ -14,7 +14,7 @@ from unittest import mock
 
 from cliquegames import games
 from cliquegames.circuit import node_values
-from cliquegames.graph import Graph
+from cliquegames.graph import Graph, nonedges
 
 
 def _bits(mask):
@@ -206,9 +206,9 @@ class FullVectorParty(games._Party):
     """
 
     def prepare(self, k):
-        self.net = games._game_network(self.g, self.idx, self.kind, self.cfg)
+        self.net = games._game_network(self.g, self.kind)
         self.root = self.net.output(k)
-        vec = brute_party_vector(self.g, self.idx, self.kind.name, self.role, self.own)
+        vec = brute_party_vector(self.g, nonedges(self.g), self.kind.name, self.role, self.own)
         self.vals = node_values(self.net.array, vec)
 
     def _value(self, node):

@@ -257,8 +257,8 @@ class TestSharedNetwork:
             bit_bound(kind, g, cfg)
             for k in range(1, g.n + 1):
                 game_circuit(g, idx, kind, k, cfg)
-        nets = [v for key, v in cfg.circuit_cache.items() if key[0] == g]
-        assert len(nets) == 2
+        assert games_module._network.cache_info().currsize == 2
+        nets = [games_module._network(g, family) for family in ("threshold", "clique")]
         for net in nets:
             assert not any(isinstance(v, CircuitBuilder) for v in vars(net).values())
             held = [v for v in vars(net).values() if isinstance(v, Circuit)]
@@ -271,7 +271,7 @@ class TestSharedNetwork:
 
     def test_equal_graphs_share_one_cache_entry(self):
         # the same P4 from the parser, from an edge list and from stripping a
-        # star off P4 + one vertex: one config caches one index and one network
+        # star off P4 + one vertex: the memo holds one network for all three
         stripped, _ = strip_stars(
             graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4)])
         )
@@ -280,9 +280,48 @@ class TestSharedNetwork:
         cfg = GameConfig()
         outcomes = [play(BICLIQUE, g, {0, 1}, {2, 3}, cfg).to_json_obj() for g in copies]
         assert outcomes[0] == outcomes[1] == outcomes[2]
-        assert set(cfg.circuit_cache) == {("nonedges", stripped), (stripped, "threshold")}
-        net = cfg.circuit_cache[stripped, "threshold"]
-        assert all(cfg.circuit_cache[g, "threshold"] is net for g in copies)
+        info = games_module._network.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        net = games_module._network(stripped, "threshold")
+        assert all(games_module._network(g, "threshold") is net for g in copies)
+        # one entry per family: the clique family adds one more, whichever copy asks
+        assert len({bit_bound(CLIQUE, g, cfg) for g in copies}) == 1
+        info = games_module._network.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+
+
+class TestNetworkMemo:
+    """Every separator network comes from one bounded memo keyed on (graph,
+    family): it never holds more than its bound, and traffic that fits in
+    it builds each network once."""
+
+    def test_stays_within_its_bound(self):
+        graphs = catalog_all_graphs(4)
+        bound = games_module._network.cache_info().maxsize
+        assert len(graphs) > bound
+        cfg = GameConfig()
+        for g in graphs:
+            bit_bound(BICLIQUE, g, cfg)
+            for vi in enumerate_valid_inputs(g, BICLIQUE, cfg)[:3]:
+                play(BICLIQUE, g, vi.a, vi.b, cfg)
+            assert games_module._network.cache_info().currsize <= bound
+        info = games_module._network.cache_info()
+        assert (info.misses, info.currsize) == (len(graphs), bound)
+
+    def test_five_interleaved_networks_are_built_once(self):
+        # five (graph, family) networks, interleaved round after round
+        graphs = [strip_stars(random_graph(7, 0.5, random.Random(seed)))[0] for seed in (1, 2, 3)]
+        jobs = [(g, kind) for g in graphs for kind in (BICLIQUE, CLIQUE)][:5]
+        cfg = GameConfig()
+        inputs = [_walk_inputs(g, kind, cfg) for g, kind in jobs]
+        for r in range(4):
+            for (g, kind), pairs in zip(jobs, inputs):
+                a, b = pairs[r]
+                out = play(kind, g, a, b, cfg)
+                assert out.transcript.total_bits <= bit_bound(kind, g, cfg)
+                assert replay_transcript(g, kind, out.transcript, cfg) == out.nonedge
+        info = games_module._network.cache_info()
+        assert (info.misses, info.currsize) == (5, 5) and info.hits > 5
 
 
 def _outcome_or_error(run):
@@ -378,7 +417,7 @@ class TestTwoLayerEvaluation:
         g = graph_from_edges(5, [p for p in itertools.combinations(range(5), 2) if p not in missing])
         cfg = GameConfig()
         bit_bound(BICLIQUE, g, cfg)
-        net = cfg.circuit_cache[g, "threshold"]
+        net = games_module._network(g, "threshold")
         roots, gates = net.slot_nodes, net.gates
         assert roots[3] == roots[4] and gates[roots[3]][0] == "VAR"
         assert gates[roots[0]][0] == "VAR" and gates[roots[1]][0] == "AND"
@@ -395,7 +434,7 @@ class TestTwoLayerEvaluation:
             val = two_layer(party, node)
             ref = party.__dict__.get("ref_vals")
             if ref is None:
-                vec = brute_party_vector(party.g, party.idx, party.kind.name, party.role, party.own)
+                vec = brute_party_vector(party.g, nonedges(party.g), party.kind.name, party.role, party.own)
                 ref = party.ref_vals = node_values(party.net.array, vec)
             assert val == ref[node], (party.role, party.kind.name, node)
             reads.append(node)
@@ -437,13 +476,13 @@ def _walk_inputs(g, kind, cfg):
     ]
 
 
-def _play_tables(cfg):
-    """Per network family: the rounds with an OR-tree table, and the (graft, round) cone tables."""
-    return {
-        key[1]: (sorted(net._rounds), sorted((j, k) for k, table in net._rounds.items() for j in table.cones))
-        for key, net in cfg.circuit_cache.items()
-        if key[0] != "nonedges"
-    }
+def _play_tables(g):
+    """Per network family of ``g``: the rounds with an OR-tree table, and the (graft, round) cone tables."""
+    tables = {}
+    for family in ("threshold", "clique"):
+        net = games_module._network(g, family)
+        tables[family] = sorted(net._rounds), sorted((j, k) for k, table in net._rounds.items() for j in table.cones)
+    return tables
 
 
 class TestGraftSeeds:
@@ -511,7 +550,7 @@ class TestGraftSeeds:
             bit_bound(kind, g, cfg)
             for k in range(1, g.n + 1):
                 game_circuit(g, idx, kind, k, cfg)
-        assert _play_tables(cfg) == empty
+        assert _play_tables(g) == empty
 
         def forbidden(net, *args):
             raise AssertionError("a circuit-only network built a play table")
@@ -525,12 +564,12 @@ class TestGraftSeeds:
         # the reference evaluates every node itself and reads no table
         a, b = _walk_inputs(g, CLIQUE, GameConfig())[0]
         reference_play(CLIQUE, g, a, b, cfg)
-        assert _play_tables(cfg) == empty
+        assert _play_tables(g) == empty
         # a play builds its own round's tables only
         play(CLIQUE, g, a, b, cfg)
-        trees, cones = _play_tables(cfg)["clique"]
+        trees, cones = _play_tables(g)["clique"]
         assert trees == [len(a)] and cones and all(k == len(a) for _, k in cones)
-        assert _play_tables(cfg)["threshold"] == ([], [])
+        assert _play_tables(g)["threshold"] == ([], [])
 
 
 class TestPrefixRows:
@@ -543,24 +582,24 @@ class TestPrefixRows:
     def _mutate_vertex_0(monkeypatch, mutate):
         honest = games_module._vertex_monomials
 
-        def mutated(b, g, idx, vertices):
-            monomials = honest(b, g, idx, vertices)
-            monomials[0] = mutate(b, idx, monomials)
+        def mutated(b, g, pairs, vertices):
+            monomials = honest(b, g, pairs, vertices)
+            monomials[0] = mutate(b, pairs, monomials)
             return monomials
 
         monkeypatch.setattr(games_module, "_vertex_monomials", mutated)
 
     @staticmethod
-    def _or_of_vertex_0(b, idx, monomials):
-        return b.or_tree([b.var(i) for i, pair in enumerate(idx.pairs) if 0 in pair])
+    def _or_of_vertex_0(b, pairs, monomials):
+        return b.or_tree([b.var(i) for i, pair in enumerate(pairs) if 0 in pair])
 
     @staticmethod
-    def _vertex_0_and_vertex_3(b, idx, monomials):
+    def _vertex_0_and_vertex_3(b, pairs, monomials):
         return b.and_(monomials[0], monomials[3])
 
     @staticmethod
-    def _one_nonedge_of_vertex_0(b, idx, monomials):
-        return b.var(idx.pairs.index((0, 2)))
+    def _one_nonedge_of_vertex_0(b, pairs, monomials):
+        return b.var(pairs.index((0, 2)))
 
     # each mutation, and the error that names it
     _errors = {
@@ -575,14 +614,12 @@ class TestPrefixRows:
         # P4's nonedges (0, 2), (0, 3), (1, 3): vertex 0 has two, so its OR is a gate
         self._mutate_vertex_0(monkeypatch, getattr(self, mutate))
         error = self._errors[mutate]
-        cfg = GameConfig()
-        idx = nonedges(p4)
         own = frozenset({0, 1} if role == "A" else {2, 3})
-        party = games_module._Party(role, p4, idx, own, BICLIQUE, cfg)
+        party = games_module._Party(role, p4, own, BICLIQUE)
         with pytest.raises(CircuitInvariantError, match=f"prefix node [0-9]+ {error}"):
             party.prepare(2)
         with pytest.raises(CircuitInvariantError, match=f"prefix node [0-9]+ {error}"):
-            play(BICLIQUE, p4, {0, 1}, {2, 3}, cfg)
+            play(BICLIQUE, p4, {0, 1}, {2, 3})
 
     def test_rows_are_the_monomials(self):
         # every prefix node's row names exactly the nonedges of the variables
@@ -595,7 +632,7 @@ class TestPrefixRows:
             for family in ("threshold", "clique"):
                 if family == "clique" and g.bipartition is not None:
                     continue
-                net = games_module._monomial_network(g, idx, family)
+                net = games_module._network(g, family)
                 rows = net.prefix_rows()
                 assert len(rows) == net.lead
 
@@ -785,6 +822,18 @@ class TestPlayBiclique:
         cfg = GameConfig(oracle_limit=0)  # disables promise validation
         with pytest.raises(SeparationError, match="game=biclique"):
             play(BICLIQUE, p4, {0}, {3}, cfg)
+
+    def test_equal_plays_hash_equal(self, p4):
+        first, second = (play(BICLIQUE, p4, {0, 1}, {2, 3}) for _ in range(2))
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second, play(BICLIQUE, p4, {0, 1, 2}, {3})}) == 2
+
+    def test_transcript_holds_a_tuple(self, p4):
+        entries = play(BICLIQUE, p4, {0, 1}, {2, 3}).transcript.entries
+        assert isinstance(entries, tuple)
+        assert Transcript(list(entries)) == Transcript(iter(entries))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Transcript(entries).entries = ()
 
     def test_two_vertex_edgeless(self):
         g = graph_from_edges(2, [])
@@ -1198,6 +1247,6 @@ class TestBitBound:
         g, _ = strip_stars(random_graph(128, 0.5, random.Random(128)))
         cfg = GameConfig()
         bound = bit_bound(BICLIQUE, g, cfg)
-        net = cfg.circuit_cache[g, "threshold"]
+        net = games_module._network(g, "threshold")
         assert len(net.gates) < 20_000
         assert bound == self._bound_from_circuits(BICLIQUE, g, cfg)

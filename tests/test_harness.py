@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -127,10 +128,13 @@ class TestSuites:
             assert report.graphs_tested == (0 if name in skipped else 1), name
 
     def test_caller_config_keeps_no_circuits(self):
+        # a config holds its two settings and nothing else, and cannot take a network
         cfg = GameConfig(seed=5)
         for name in SUITE_NAMES:
             run_suite(name, catalog_all_graphs(3), cfg)
-        assert cfg.circuit_cache == {}
+        assert vars(cfg) == {"seed": 5, "oracle_limit": 16}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.circuit_cache = {}
 
     def test_failures_carry_reproduction_data(self):
         # force a failure by lying about the edge bound via a monkeypatched
