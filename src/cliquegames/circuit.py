@@ -12,6 +12,9 @@ are 1"):
   odd-even merge sorting network built out of comparator gadgets (OR = max,
   AND = min).  ``threshold_network`` keeps the whole network, every k's
   wire at once.  Deterministic, depth O(log^2 n), works at any size.
+  ``count_tables`` gives every node of that network in closed form: each
+  is a function of two counts, the inputs that are 1 in each half of the
+  smallest aligned block holding its inputs.
 * ``build_threshold_valiant`` reduces the threshold to majority by padding
   with constant leaves, then amplifies with a complete ternary tree of
   3-input majority gadgets whose leaves are independently uniform random
@@ -27,8 +30,9 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -358,6 +362,116 @@ def threshold_network(n: int) -> tuple[Circuit, tuple[int, ...]]:
         wires[i], wires[j] = lo, hi
     thresholds = tuple(wires[width - k] for k in range(1, n + 1))
     return b.snapshot(thresholds[0]), thresholds
+
+
+# A node's count row (mask of half A, mask of half B, staircase t): on an
+# input pattern x, bit i for input i, the node's value is |x & B| >= t[|x & A|].
+CountRow = tuple[int, int, Sequence[int]]
+
+
+@lru_cache(maxsize=16)
+def count_tables(network: Circuit) -> tuple[CountRow, ...]:
+    """One count row per node of a sorting network, checked as it is built.
+
+    A node of Batcher's odd-even merge sort depends on two counts only: how
+    many inputs are 1 in each half, A and B, of the smallest aligned block
+    (in the padded width) that holds the inputs it reads, counting real
+    inputs only.  Being monotone in both, it is ``|x & B| >= t[|x & A|]``
+    for a staircase ``t[0..|A|]`` with entries in 0..|B| + 1 (|B| + 1 never
+    fires).  An input is a block of its own, with an empty A and t = [1];
+    a constant has no block.
+
+    Rows are built in gate order.  An AND takes the elementwise max of its
+    children's staircases, an OR the min, each read in the node's block: a
+    constant child is a flat staircase, a child in the same block is taken
+    as it is, and a child in one half must be a count threshold of exactly
+    that half, ``|x & half| >= T``, which is checked the first time a
+    higher block reads it.  Any other child raises ``CircuitInvariantError``.
+    By induction every row is exact.  Memoized on the network's value, like
+    ``threshold_network``, so a changed network gets rows of its own.
+    """
+    n, gates = network.var_count, network.gates
+    width = 1 << (n - 1).bit_length() if n > 1 else 1
+    # staircase entries reach |B| + 1 <= width / 2 + 1: one byte each up to width 256
+    pack = bytes if width <= 256 else partial(array, "H")
+    rows: list[CountRow] = []
+    blocks: list = []  # (lo, size) per node, None for a constant
+    halves: dict[tuple[int, int], tuple] = {}  # block -> (block, mask of A, mask of B, |B| + 1, end)
+    # Blocks of one size repeat along the width, and so do their staircases,
+    # so each distinct way of making a staircase is worked out once; keys
+    # hold the ids of staircases that ``rows`` or ``made`` keep alive.
+    made: dict[int | tuple, Sequence[int]] = {}
+    counts: dict[tuple[int, int], int] = {}  # (staircase id, |B|) -> T
+
+    def threshold(node: int) -> int:
+        a, b, stair = rows[node]
+        nb = b.bit_count()
+        t = counts.get((id(stair), nb))
+        if t is None:
+            t = next((x + s for x, s in enumerate(stair) if 0 < s <= nb), -1)
+            if t < 0 or stair != pack([min(max(t - x, 0), nb + 1) for x in range(a.bit_count() + 1)]):
+                raise CircuitInvariantError(f"network node {node} is no count threshold of its block")
+            counts[id(stair), nb] = t
+        return t
+
+    for i, gate in enumerate(gates):
+        op = gate[0]
+        if op == VAR:
+            blocks.append((gate[1], 1))
+            rows.append((0, 1 << gate[1], pack((1,))))
+            continue
+        if op == CONST:
+            blocks.append(None)
+            rows.append((0, 0, pack((1 - gate[1],))))
+            continue
+        spans = [blocks[c] for c in gate[1:] if blocks[c] is not None]
+        if not spans:
+            raise CircuitInvariantError(f"network node {i} reads no input")
+        lo = min(s[0] for s in spans)
+        size = 1 << (lo ^ (max(s[0] + s[1] for s in spans) - 1)).bit_length()
+        lo &= -size
+        half = size >> 1
+        mid = lo + half
+        shape = halves.get((lo, size))
+        if shape is None:
+            top = min(lo + size, n)
+            mask_a, mask_b = ((1 << half) - 1) << lo, ((1 << (top - mid)) - 1) << mid
+            shape = halves[lo, size] = ((lo, size), mask_a, mask_b, top - mid + 1, top)
+        block, mask_a, mask_b, never, top = shape
+        read = []
+        for child in gate[1:]:
+            inner = blocks[child]
+            if inner == block:
+                read.append(rows[child][2])
+                continue
+            # otherwise a flat staircase, key (|A|, t), or [|x & A| >= t], key (|A|, |B| + 1, t)
+            if inner is None:
+                key = (half, 0 if gates[child][1] else never)
+            elif inner == (lo, half):
+                key = (half, never, threshold(child))
+            elif inner[0] == mid and min(inner[0] + inner[1], n) == top:
+                key = (half, threshold(child))
+            else:
+                raise CircuitInvariantError(f"network node {i} reads node {child} from neither its block nor a half")
+            stair = made.get(key)
+            if stair is None:
+                t = key[-1]
+                stair = made[key] = pack([t] * (half + 1) if len(key) == 2 else [never] * t + [0] * (half + 1 - t))
+            read.append(stair)
+        blocks.append(block)
+        key = (id(read[0]) << 64 | id(read[1])) << 1 | (op == AND)
+        stair = made.get(key)
+        if stair is None:
+            left, right = read
+            if op == AND:
+                stair = pack([x if x > y else y for x, y in zip(left, right)])
+            else:
+                stair = pack([x if x < y else y for x, y in zip(left, right)])
+            if size < width:
+                # the whole width is one block, which never repeats
+                made[key] = stair
+        rows.append((mask_a, mask_b, stair))
+    return tuple(rows)
 
 
 # the induced-clique suite asks for the small widths of cliques again and again

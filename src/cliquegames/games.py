@@ -49,8 +49,9 @@ from .circuit import (
     Circuit,
     CircuitBuilder,
     CircuitInvariantError,
+    CountRow,
     Gate,
-    cone,
+    count_tables,
     extract,
     node_depths,
     node_values,
@@ -250,11 +251,16 @@ class SeparatorNetwork:
     comes from one pass over it.
 
     Plays read a monomial network through tables built on a party's first
-    request (``prefix_rows``, ``round``, ``cone``), so networks that only
-    serve circuits never hold one.  Every prefix node is then read in closed form: it is the AND of
-    the nonedges from one vertex to a set of partners (a vertex monomial, a
-    subtree of one, or a single variable), so one (vertex bit, partner
-    mask) row per node gives any party's value from its own set mask alone.
+    request (``prefix_rows``, ``round``, ``graft_reads``), so networks that
+    only serve circuits never hold one, and every node a walk reads is read
+    in closed form.  A prefix node is the AND of the nonedges from one
+    vertex to a set of partners (a vertex monomial, a subtree of one, or a
+    single variable), so one (vertex bit, partner mask) row per node gives
+    any party's value from its own set mask alone.  A graft node is a node
+    of its sorting network, so its ``count_tables`` row gives its value
+    from two counts of the graft's slots that hold.  An OR-tree node is 1
+    exactly when some group under it holds at least k of its slots
+    (``RoundTable``).
     """
 
     def __init__(self, g: Graph, family: str):
@@ -267,6 +273,8 @@ class SeparatorNetwork:
         self._var_count = g.n if family == "induced" else len(self.pairs)
         self._rows: tuple[tuple[int, int], ...] | None = None
         self._rounds: dict[int, RoundTable] = {}
+        self._widths: dict[int, list[CountRow]] = {}
+        self._layouts: dict[int, tuple[Circuit, int, list[int]]] = {}
 
     def _build(self) -> None:
         b = CircuitBuilder(self._var_count)
@@ -282,6 +290,8 @@ class SeparatorNetwork:
             network, thresholds = threshold_network(len(group))
             start = len(b)
             nodes = b.graft(network, [slot_nodes[s] for s in group])
+            # the first graft of each width keeps its node map for graft_reads
+            self._layouts.setdefault(len(group), (network, start, nodes))
             self.grafts.append(Graft(start, tuple(group), _mask(group), tuple(nodes[t] for t in thresholds)))
         self.graft_starts = [graft.start for graft in self.grafts]
         self.outputs, self.tree_starts = [-1], [-1]
@@ -331,6 +341,7 @@ class SeparatorNetwork:
                 self._build()
             g, gates, pairs = self.g, self.gates, self.pairs
             rows: list = [None] * self.lead
+            bits = [1 << u for u in range(g.n)]  # one int per vertex bit, shared by the rows
             v = bit = 0
 
             def partners(node: int) -> int:
@@ -339,7 +350,7 @@ class SeparatorNetwork:
                     x, y = pairs[gate[1]]
                     if v != x and v != y:
                         raise CircuitInvariantError(f"prefix node {node} is a nonedge off vertex {v}")
-                    found = 1 << (x + y - v)
+                    found = bits[x + y - v]
                 elif gate[0] == AND:
                     found = partners(gate[1]) | partners(gate[2])
                 elif gate == (CONST, 1):
@@ -352,85 +363,109 @@ class SeparatorNetwork:
             # nonedges run between any two vertices, or across the parts
             space = g.full_mask if g.bipartition is None else _mask(g.bipartition[1])
             for v, root in zip(self.vertices, self.slot_nodes):
-                bit = 1 << v
+                bit = bits[v]
                 if partners(root) != space & ~g.adj[v] & ~bit:
                     raise CircuitInvariantError(f"prefix node {root} is not the monomial of vertex {v}")
             self._rows = tuple(rows)
         return self._rows
 
     def round(self, k: int) -> RoundTable:
-        """Round k's play table, built on a party's first request for k."""
+        """Round k's play table, built on a party's first request for k.
+
+        The OR tree's gates lie from ``tree_starts[k]`` up to round k's
+        root; each must be an OR of tree gates or of groups' threshold-k
+        nodes, or ``CircuitInvariantError`` is raised.
+        """
         table = self._rounds.get(k)
         if table is None:
-            root = self.output(k)
-            grafts = [graft for graft in self.grafts if len(graft.roots) >= k]
-            tree = _block(self.gates, [graft.roots[k - 1] for graft in grafts], root, self.tree_starts[k])
-            if not tree.program:
+            root, start = self.output(k), self.tree_starts[k]
+            if root < start:
                 # an OR over one group, or none: the root is that group's node or a constant
-                grafts, tree = [], None
-            table = self._rounds[k] = RoundTable(tuple(graft.mask for graft in grafts), tree, {})
+                table = RoundTable({}, (), [])
+            else:
+                groups = [j for j, graft in enumerate(self.grafts) if len(graft.roots) >= k]
+                order = {j: i for i, j in enumerate(groups)}
+                under = {self.grafts[j].roots[k - 1]: 1 << i for j, i in order.items()}
+                covers: list[int] = []
+                for node in range(start, root + 1):
+                    gate = self.gates[node]
+                    if gate[0] != OR:
+                        raise CircuitInvariantError(f"node {node} of round {k}'s OR tree is no OR gate")
+                    left, right = (covers[c - start] if c >= start else under.get(c) for c in gate[1:])
+                    if left is None or right is None:
+                        raise CircuitInvariantError(f"node {node} of round {k}'s OR tree reads no group")
+                    covers.append(left | right)
+                columns = [0] * self.slots
+                for j, i in order.items():
+                    for s in self.grafts[j].slots:
+                        columns[s] |= 1 << i
+                table = RoundTable(order, tuple(covers), columns)
+            self._rounds[k] = table
         return table
 
-    def cone(self, j: int, k: int) -> Block:
-        """Graft ``j``'s gates under its threshold-k node, as a block over its slots."""
-        cones = self.round(k).cones
-        block = cones.get(j)
-        if block is None:
-            graft = self.grafts[j]
-            inputs = [self.slot_nodes[s] for s in graft.slots]
-            block = cones[j] = _block(self.gates, inputs, graft.roots[k - 1], graft.start)
-        return block
+    def graft_reads(self, j: int) -> tuple[int, int, list[CountRow]]:
+        """Graft ``j``'s gates as count rows: (its first gate, its end, one row per gate).
 
-
-class Block(NamedTuple):
-    """Gates from one node up, renumbered for ``_run``: a flat pass over a local list.
-
-    The list starts with the values of the block's inputs; node n sits at
-    n - ``base``.  ``program`` holds one (position, is AND, left, right)
-    per gate, in order.
-    """
-
-    program: tuple[tuple[int, bool, int, int], ...]
-    base: int
-    length: int
+        The rows are those of its network's nodes (``count_tables``), one
+        list per width, built the first time a walk enters a graft of that
+        width from the node map ``CircuitBuilder.graft`` returned for the
+        first graft of that width: each gate the graft added stands for the
+        first network node mapped to it.  A graft adds its gates last, after
+        a constant the first graft may add, so its gates end where the next
+        graft starts.  Grafts of one width are laid out alike: only the
+        threshold family, whose one graft covers every slot, can fold a
+        constant slot away.
+        """
+        graft = self.grafts[j]
+        end = self.graft_starts[j + 1] if j + 1 < len(self.grafts) else self.tree_starts[1]
+        width = len(graft.slots)
+        reads = self._widths.get(width)
+        if reads is None:
+            network, start, nodes = self._layouts[width]
+            behind: dict[int, int] = {}  # each added node, in the order it was made, and its network node
+            for i, node in enumerate(nodes):
+                if node >= start:
+                    behind.setdefault(node, i)
+            rows = count_tables(network)
+            gates = self.gates
+            reads = self._widths[width] = [rows[i] for node, i in behind.items() if gates[node][0] != CONST]
+            del self._layouts[width]  # the rows hold all a play needs of it
+        return end - len(reads), end, reads
 
 
 class RoundTable(NamedTuple):
     """What a play of round k reads of its network beyond the slot masks.
 
-    ``masks`` holds the slot mask of each group with at least k slots,
-    whose threshold-k nodes are the inputs of ``tree``, round k's OR tree,
-    in that order; ``masks`` is empty and ``tree`` None when the tree has no
-    gate.  ``cones[j]`` is graft j's round-k cone, added the first time a
-    walk enters the graft.
+    When round k's OR tree has a gate, ``groups`` maps each graft with at
+    least k slots to its bit, in graft order; ``covers`` holds, per tree
+    gate from ``tree_starts[k]`` up, the bits of the groups under it; and
+    ``columns`` holds, per slot, the bits of the groups that contain it.  A
+    party counts with the columns which groups hold at least k of its
+    slots, and a tree gate is 1 exactly when one of them is under it.  All
+    three are empty when the tree has no gate.
     """
 
-    masks: tuple[int, ...]
-    tree: Block | None
-    cones: dict[int, Block]
+    groups: dict[int, int]
+    covers: tuple[int, ...]
+    columns: list[int]
 
 
-def _block(gates: Sequence[Gate], inputs: Sequence[int], root: int, start: int) -> Block:
-    """The gates from ``start`` up under ``root`` as a ``Block`` over ``inputs``."""
-    ids = cone(gates, root, start)
-    base = start - len(inputs)
-    pos = {node: i for i, node in enumerate(inputs)}
-    program = []
-    for node in ids:
-        gate = gates[node]
-        if gate[0] not in (AND, OR):
-            raise CircuitInvariantError(f"node {node} above the slots is a {gate[0]} leaf")
-        pos[node] = node - base
-        program.append((node - base, gate[0] == AND, pos[gate[1]], pos[gate[2]]))
-    return Block(tuple(program), base, ids[-1] - base + 1 if ids else len(inputs))
+def _hits(ones: int, columns: Sequence[int], k: int) -> int:
+    """The groups holding at least k of the slots in ``ones``, as one mask.
 
-
-def _run(inputs: list[int], block: Block) -> list[int]:
-    """One flat pass over ``block``, given its inputs' values; returns its local list."""
-    vals = inputs + [None] * (block.length - len(inputs))
-    for out, is_and, left, right in block.program:
-        vals[out] = vals[left] & vals[right] if is_and else vals[left] | vals[right]
-    return vals
+    A bit-sliced count: ``at_least[i]`` is the mask of groups holding at
+    least i of the slots added so far, and adding a slot's column raises
+    each level from the one below it.
+    """
+    at_least = [0] * (k + 1)
+    while ones:
+        low = ones & -ones
+        column = columns[low.bit_length() - 1]
+        for i in range(k, 1, -1):
+            at_least[i] |= at_least[i - 1] & column
+        at_least[1] |= column
+        ones ^= low
+    return at_least[k]
 
 
 # Networks held at once.  The heaviest traffic, the benchmark's big-graphs
@@ -601,7 +636,7 @@ def game_circuit(g: Graph, idx: NonedgeIndex, kind: GameKind, k: int, cfg: GameC
     return _game_network(g, kind).circuit(k)
 
 
-# an empty window: every node above the monomial trees is outside it
+# an empty window: every graft node is outside it
 _NO_WINDOW = (0, 0, [], 0)
 
 
@@ -614,22 +649,18 @@ class _Party:
     even when the choice is forced, so where the walk stands follows from
     the transcript alone (``_protocol``).
 
-    A party never builds its vector over the nonedges, and it evaluates
-    only what round k can read of the network's array.  Every node below
-    the grafts is an AND of the nonedges from one vertex to a set of
-    partners, and a party's value on it follows in closed form from its own
-    set mask and that node's row of ``SeparatorNetwork.prefix_rows``
-    (``_holds``).  So ``prepare`` sets the slot roots from their rows, and
-    evaluates round k's OR tree (``SeparatorNetwork.round``) in one flat
-    pass over its inputs, the groups' threshold-k nodes, each seeded from
-    the count of the group's slots that hold, since a graft is exactly
-    threshold-k of its slots.  The rest is evaluated only when the walk
-    reads it (``_value``): a node of a graft evaluates that graft's round-k
-    cone in one flat pass (``SeparatorNetwork.cone``), which must reproduce
-    the seeded value of its threshold-k node, and a monomial-tree node is
-    one ``_holds`` on its row.  The OR tree and each graft entered keep
-    their values in a list of their own, a window on the array, so a play
-    allocates nothing the size of the array.
+    A party never builds its vector over the nonedges, and it evaluates no
+    gate: every node the walk reads is read in closed form from the
+    network's tables (see ``SeparatorNetwork``).  ``prepare`` sets which
+    slots hold, one ``_holds`` per slot root on its prefix row, and, when
+    round k has an OR tree, which groups hold at least k of those slots
+    (``_hits``).  A monomial-tree node is one ``_holds`` on its row, and an
+    OR-tree node is 1 exactly when a group under it holds.  A graft node is
+    two popcounts of the graft's local input pattern and one index into its
+    count row.  The first read of a graft (``_enter``) takes that pattern
+    and checks the graft's threshold-k node against the seed the walk was
+    promised: the group's hit, or the count of its slots that hold when the
+    round has no tree.  So a play reads only the nodes its walk touches.
     """
 
     def __init__(self, role: str, g: Graph, own: frozenset, kind: GameKind):
@@ -641,12 +672,11 @@ class _Party:
         self.net: SeparatorNetwork | None = None
         self.mask = 0
         self.gamma = 0
-        # ``prepare`` sets the round, its table and root, the prefix rows,
-        # which slots hold and where the layers start; the OR tree (``tree``)
-        # and each graft entered (``entered``) get a window (first node, end,
-        # values, base), the last one read in ``window``
+        # ``prepare`` sets the round and its root, the prefix rows, which
+        # slots and groups hold and where the layers start; each graft
+        # entered (``entered``) gets a window (first gate, end, count rows,
+        # local input pattern), the last one read in ``window``
         self.k = self.root = 0
-        self.table: RoundTable | None = None
 
     def say(self, meaning: str, width: int, node: int | None) -> str:
         """This party's bits for one message of ``_protocol``."""
@@ -678,8 +708,9 @@ class _Party:
         return 0 if partners and (m & bit or partners & m or (gm & bit and partners & gm)) else 1
 
     def prepare(self, k: int) -> None:
+        """Get ready to read round k: which slots, and which groups, hold."""
         net = self.net = _game_network(self.g, self.kind)
-        table = self.table = net.round(k)
+        table = net.round(k)
         self.mask = _mask(self.own)
         if self.role == "B" and self.kind.name == "relaxed-clique":
             self.gamma = _gamma_mask(self.g, self.mask)
@@ -690,37 +721,43 @@ class _Party:
                 ones |= 1 << slot
         self.k, self.root, self.ones, self.entered = k, net.outputs[k], ones, {}
         self.lead, self.starts, self.tree_start = net.lead, net.graft_starts, net.tree_starts[k]
-        self.tree = self.window = _NO_WINDOW
-        if table.tree is not None:
-            # the walk reads the seeded inputs only through ``_enter``, which checks them
-            seeds = [1 if (ones & m).bit_count() >= k else 0 for m in table.masks]
-            self.tree = self.window = (self.tree_start, len(net.gates), _run(seeds, table.tree), table.tree.base)
+        self.groups, self.covers = table.groups, table.covers
+        self.hits = _hits(ones, table.columns, k) if table.groups else 0
+        self.window = _NO_WINDOW
 
     def _enter(self, j: int) -> tuple:
-        """Evaluate graft ``j``'s round-k cone in one flat pass and check it against the seed."""
+        """Graft ``j``'s window, its threshold-k node checked against the seed."""
         graft, k, ones = self.net.grafts[j], self.k, self.ones
-        block = self.table.cones.get(j) or self.net.cone(j, k)
-        vals = _run([ones >> slot & 1 for slot in graft.slots], block)
-        if vals[graft.roots[k - 1] - block.base] != ((ones & graft.mask).bit_count() >= k):
-            raise CircuitInvariantError("a graft disagrees with the threshold count of its inputs")
-        end = self.starts[j + 1] if j + 1 < len(self.starts) else self.tree_start
-        window = self.entered[j] = (graft.start, end, vals, block.base)
+        start, end, reads = self.net.graft_reads(j)
+        if graft.slots[-1] == len(graft.slots) - 1:
+            # slots 0..w-1: the pattern is the slot mask itself
+            pattern = ones & graft.mask
+        else:
+            pattern = sum(1 << i for i, s in enumerate(graft.slots) if ones >> s & 1)
+        root = graft.roots[k - 1] - start
+        # a root that folded out of the graft, onto a constant slot, is read where it lies
+        if root >= 0:
+            a, b, stair = reads[root]
+            seed = self.hits >> self.groups[j] & 1 if self.groups else (ones & graft.mask).bit_count() >= k
+            if ((pattern & b).bit_count() >= stair[(pattern & a).bit_count()]) != seed:
+                raise CircuitInvariantError("a graft disagrees with the threshold count of its inputs")
+        window = self.entered[j] = (start, end, reads, pattern)
         return window
 
     def _value(self, node: int) -> int:
         if node < self.lead:
             # a node of a monomial tree, at or below a slot root
             return self._holds(*self.rows[node])
-        start, end, vals, base = self.window
+        if node >= self.tree_start:
+            # a gate of round k's OR tree
+            return 1 if self.hits & self.covers[node - self.tree_start] else 0
+        start, end, reads, pattern = self.window
         if not start <= node < end:
-            # into the OR tree, or a graft, entered the first time
-            if node >= self.tree_start:
-                window = self.tree
-            else:
-                j = bisect_right(self.starts, node) - 1
-                window = self.entered.get(j) or self._enter(j)
-            start, end, vals, base = self.window = window
-        return vals[node - base]
+            # a graft, entered the first time
+            j = bisect_right(self.starts, node) - 1
+            start, end, reads, pattern = self.window = self.entered.get(j) or self._enter(j)
+        a, b, stair = reads[node - start]
+        return 1 if (pattern & b).bit_count() >= stair[(pattern & a).bit_count()] else 0
 
 
 # --------------------------------------------------------------------------

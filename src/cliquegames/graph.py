@@ -300,8 +300,12 @@ class NonedgeIndex:
         )
 
 
+# A separation suite and the networks of both families ask for one graph's
+# index in turn, graph after graph: a few entries let them share it, while
+# an index kept on every graph would grow with the catalog.
+@lru_cache(maxsize=16)
 def nonedges(g: Graph) -> NonedgeIndex:
-    """All nonedges of ``g`` in canonical order (cross-part only if bipartite)."""
+    """All nonedges of ``g`` in canonical order (cross-part only if bipartite); memoized."""
     pairs = []
     if g.bipartition is None:
         for u in range(g.n):

@@ -12,17 +12,21 @@ from cliquegames.circuit import (
     AmplificationError,
     Circuit,
     CircuitBuilder,
+    CircuitInvariantError,
     VerificationBudgetError,
+    _eval_masks,
     build_threshold_sort,
     build_threshold_valiant,
     comparator_depths,
     cone,
+    count_tables,
     evaluate,
     evaluate_many,
     extract,
     parse_circuit,
     serialize_circuit,
     sorting_network,
+    threshold_network,
     threshold_truth_table,
     truth_table,
     verify_threshold,
@@ -215,6 +219,53 @@ class TestThresholdSort:
                 before = evaluate(c, x)
                 x[i] = 1
                 assert evaluate(c, x) >= before
+
+
+def _flip_first_and(network):
+    """The network with its first AND gate turned into an OR."""
+    gates = list(network.gates)
+    first = next(i for i, gate in enumerate(gates) if gate[0] == AND)
+    gates[first] = (OR,) + gates[first][1:]
+    return Circuit(tuple(gates), network.output, network.var_count)
+
+
+class TestCountTables:
+    """Every node of ``threshold_network(n)`` is |x & B| >= t[|x & A|] for its row."""
+
+    @staticmethod
+    def _assert_rows_match(n, xs):
+        # one column per input pattern: node i's column from its gates, and from its row
+        network, _ = threshold_network(n)
+        rows = count_tables(network)
+        cols = [sum(1 << j for j, x in enumerate(xs) if x >> i & 1) for i in range(n)]
+        values = _eval_masks(network, cols, (1 << len(xs)) - 1)
+        assert len(rows) == len(network.gates)
+        for node, (a, b, stair) in enumerate(rows):
+            read = sum(1 << j for j, x in enumerate(xs) if (x & b).bit_count() >= stair[(x & a).bit_count()])
+            assert read == values[node], (n, node)
+
+    def test_rows_match_node_values_on_every_input(self):
+        for n in range(1, 11):
+            self._assert_rows_match(n, range(1 << n))
+
+    @pytest.mark.parametrize("n", [33, 64, 100, 128])
+    def test_rows_match_node_values_on_random_inputs(self, n):
+        rng = random.Random(n)
+        # every weight, so every staircase step is read
+        xs = [sum(1 << i for i in rng.sample(range(n), rng.randrange(n + 1))) for _ in range(300)]
+        self._assert_rows_match(n, xs)
+
+    def test_rows_are_memoized_on_the_network_value(self):
+        network, _ = threshold_network(12)
+        copy = Circuit(tuple(network.gates), network.output, network.var_count)
+        assert count_tables(copy) is count_tables(network)
+
+    def test_a_flipped_gate_raises(self):
+        # the first AND sorts inputs 0 and 1; as an OR, the sorted pair is no
+        # longer a count of them, so the next block up cannot read it
+        network, _ = threshold_network(16)
+        with pytest.raises(CircuitInvariantError, match="count threshold|neither its block"):
+            count_tables(_flip_first_and(network))
 
 
 class TestVerifyThreshold:

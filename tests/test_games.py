@@ -446,11 +446,12 @@ class TestTwoLayerEvaluation:
                 cfg = GameConfig()
                 for vi in enumerate_valid_inputs(g, kind, cfg):
                     play(kind, g, vi.a, vi.b, cfg)
-        g, _ = strip_stars(random_graph(32, 0.5, random.Random(32)))
-        for kind in (BICLIQUE, CLIQUE):
-            cfg = GameConfig()
-            for a, b in _random_inputs(g, random.Random(6), 20, cliques=kind == CLIQUE):
-                _outcome_or_error(lambda: play(kind, g, a, b, cfg))
+        for n in (32, 64):
+            g, _ = strip_stars(random_graph(n, 0.5, random.Random(n)))
+            for kind in (BICLIQUE, CLIQUE):
+                cfg = GameConfig()
+                for a, b in _random_inputs(g, random.Random(6), 20, cliques=kind == CLIQUE):
+                    _outcome_or_error(lambda: play(kind, g, a, b, cfg))
         assert len(reads) > 10_000
 
     def test_play_builds_no_vector(self, monkeypatch):
@@ -477,18 +478,19 @@ def _walk_inputs(g, kind, cfg):
 
 
 def _play_tables(g):
-    """Per network family of ``g``: the rounds with an OR-tree table, and the (graft, round) cone tables."""
+    """Per network family of ``g``: the rounds with a play table, and the graft widths with count rows."""
     tables = {}
     for family in ("threshold", "clique"):
         net = games_module._network(g, family)
-        tables[family] = sorted(net._rounds), sorted((j, k) for k, table in net._rounds.items() for j in table.cones)
+        tables[family] = sorted(net._rounds), sorted(net._widths)
     return tables
 
 
 class TestGraftSeeds:
     """A party seeds each graft root from the threshold count of its inputs
-    and evaluates a graft's gates only when the walk enters it, checking the
-    seeded root there; the graft tables behind this exist only for plays."""
+    and reads a graft's nodes from count rows; the first time the walk
+    enters a graft it checks the graft's threshold-k row against that seed.
+    The tables behind this exist only for plays."""
 
     def test_wrong_threshold_fails_loudly(self, monkeypatch):
         # round k reads every graft's threshold-(k + 1) node while the seeds count to k
@@ -541,6 +543,45 @@ class TestGraftSeeds:
         }
         assert entered and entered <= checked
 
+    def test_a_mutated_network_gate_raises_in_play(self, monkeypatch):
+        # the sorting network with its first AND turned into an OR has no count rows
+        honest = threshold_network
+
+        def mutated(s):
+            network, thresholds = honest(s)
+            gates = list(network.gates)
+            first = next(i for i, gate in enumerate(gates) if gate[0] == "AND")
+            gates[first] = ("OR",) + gates[first][1:]
+            return Circuit(tuple(gates), network.output, network.var_count), thresholds
+
+        monkeypatch.setattr(games_module, "threshold_network", mutated)
+        g, _ = strip_stars(random_graph(16, 0.5, random.Random(16)))
+        a, b = frozenset(range(0, 16, 2)), frozenset(range(1, 16, 2))
+        with pytest.raises(CircuitInvariantError, match="count threshold|neither its block"):
+            play(BICLIQUE, g, a, b, GameConfig(oracle_limit=0))
+
+    def test_a_wrong_group_column_trips_the_entry_check(self):
+        # a group column that counts Alice's slots into a group they are not
+        # in makes her hit that group; entering its graft must refute the hit
+        g, _ = strip_stars(random_graph(16, 0.5, random.Random(16)))
+        cliques = [c for c in games_module.maximal_cliques(g) if len(c) >= 3]
+        a = frozenset(cliques[0][:3])
+        alice = games_module._Party("A", g, a, CLIQUE)
+        net = games_module._network(g, "clique")
+        table = net.round(3)
+        alice.prepare(3)
+        missed = [j for j in table.groups if not alice.hits >> table.groups[j] & 1]
+        assert missed
+        j = missed[0]
+        for s in a:
+            table.columns[s] |= 1 << table.groups[j]
+        alice.prepare(3)
+        assert alice.hits >> table.groups[j] & 1
+        start, end, _ = net.graft_reads(j)
+        assert start < end
+        with pytest.raises(CircuitInvariantError, match="threshold count"):
+            alice._value(start)
+
     def test_graft_tables_are_play_only(self, monkeypatch):
         g, _ = strip_stars(random_graph(8, 0.5, random.Random(8)))
         idx = nonedges(g)
@@ -556,8 +597,9 @@ class TestGraftSeeds:
             raise AssertionError("a circuit-only network built a play table")
 
         with monkeypatch.context() as m:
-            for table in ("prefix_rows", "round", "cone"):
+            for table in ("prefix_rows", "round", "graft_reads"):
                 m.setattr(games_module.SeparatorNetwork, table, forbidden)
+            m.setattr(games_module, "count_tables", forbidden)
             for suite in ("incidence-separation", "clique-separation", "relaxed-separation"):
                 assert run_suite(suite, catalog_all_graphs(4)).passed
 
@@ -565,10 +607,12 @@ class TestGraftSeeds:
         a, b = _walk_inputs(g, CLIQUE, GameConfig())[0]
         reference_play(CLIQUE, g, a, b, cfg)
         assert _play_tables(g) == empty
-        # a play builds its own round's tables only
+        # a play builds its own round's table, and count rows for the widths its walk enters
         play(CLIQUE, g, a, b, cfg)
-        trees, cones = _play_tables(g)["clique"]
-        assert trees == [len(a)] and cones and all(k == len(a) for _, k in cones)
+        rounds, widths = _play_tables(g)["clique"]
+        net = games_module._network(g, "clique")
+        assert rounds == [len(a)] and widths
+        assert set(widths) <= {len(graft.slots) for graft in net.grafts if len(graft.slots) >= len(a)}
         assert _play_tables(g)["threshold"] == ([], [])
 
 
