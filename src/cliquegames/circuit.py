@@ -92,13 +92,15 @@ class Circuit:
         return sum(1 for gate in self.gates if gate[0] in (AND, OR))
 
 
-def node_depths(gates: Sequence[Gate]) -> list[int]:
-    """Depth of every node of a gate array, in one pass."""
+def node_depths(gates: Sequence[Gate], leaves: Sequence[int] = ()) -> list[int]:
+    """Depth of every node of a gate array, in one pass; variable i starts at ``leaves[i]`` if given."""
     depths = [0] * len(gates)
     for i, gate in enumerate(gates):
         if gate[0] in (AND, OR):
             left, right = depths[gate[1]], depths[gate[2]]
             depths[i] = (left if left > right else right) + 1
+        elif leaves and gate[0] == VAR:
+            depths[i] = leaves[gate[1]]
     return depths
 
 
@@ -195,18 +197,36 @@ def extract(gates: Sequence[Gate], output: int, var_count: int) -> Circuit:
     return Circuit(gates=tuple(kept), output=renum[output], var_count=var_count)
 
 
+def balanced(op, nodes: Sequence):
+    """Join ``nodes`` pairwise with ``op``, level by level and left to right, down to one value.
+
+    The one pairing of the builder's gate trees, so a caller can repeat it
+    over anything that stands for their nodes (depths, say).
+    """
+    if not nodes:
+        raise ValueError("cannot build a gate tree over an empty list")
+    level = list(nodes)
+    while len(level) > 1:
+        nxt = [op(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+        if len(level) % 2:
+            nxt.append(level[-1])
+        level = nxt
+    return level[0]
+
+
 class CircuitBuilder:
     """Mutable gate appender with constant propagation.
 
     Constant folding is the only simplification performed: AND/OR with a
-    constant child collapses.  Variable and constant leaves are deduplicated;
-    ``build`` extracts the cone of one output (``extract``), and
-    ``snapshot`` keeps every node.
+    constant child collapses.  Variable and constant leaves are deduplicated
+    among the nodes it adds; it may start from given ``gates``.  ``build``
+    extracts the cone of one output (``extract``), and ``snapshot`` keeps
+    every node.
     """
 
-    def __init__(self, var_count: int):
+    def __init__(self, var_count: int, gates: Sequence[Gate] = ()):
         self.var_count = var_count
-        self._gates: list[Gate] = []
+        self._gates: list[Gate] = list(gates)
         self._var_ids: dict[int, int] = {}
         self._const_ids: dict[int, int] = {}
 
@@ -254,24 +274,13 @@ class CircuitBuilder:
             return left
         return self._append((OR, left, right))
 
-    def _tree(self, op, nodes: Sequence[int]) -> int:
-        if not nodes:
-            raise ValueError("cannot build a gate tree over an empty list")
-        level = list(nodes)
-        while len(level) > 1:
-            nxt = [op(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
-            if len(level) % 2:
-                nxt.append(level[-1])
-            level = nxt
-        return level[0]
-
     def and_tree(self, nodes: Sequence[int]) -> int:
         """Balanced AND over ``nodes``; depth ceil(log2(len))."""
-        return self._tree(self.and_, nodes)
+        return balanced(self.and_, nodes)
 
     def or_tree(self, nodes: Sequence[int]) -> int:
         """Balanced OR over ``nodes``; depth ceil(log2(len))."""
-        return self._tree(self.or_, nodes)
+        return balanced(self.or_, nodes)
 
     def graft(self, sub: Circuit, inputs: Sequence[int]) -> list[int]:
         """Copy ``sub`` into this builder with its variables replaced.

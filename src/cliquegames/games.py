@@ -51,6 +51,9 @@ from .circuit import (
     CircuitInvariantError,
     CountRow,
     Gate,
+    balanced,
+    build_threshold_sort,
+    cone,
     count_tables,
     extract,
     node_depths,
@@ -209,16 +212,14 @@ def _vertex_monomials(b: CircuitBuilder, g: Graph, pairs: Sequence[Pair], vertic
 
 
 class Graft(NamedTuple):
-    """One whole sorting network in a ``SeparatorNetwork``'s array, over a group of slots."""
+    """A group of slots in a ``SeparatorNetwork``, and where its sorting network lies."""
 
-    start: int  # its first node; it ends where the next graft, or the first OR tree, starts
+    start: int  # its first id; it ends where the next graft, or ``top``, starts
     slots: tuple[int, ...]  # the slot feeding each of its inputs
-    mask: int  # the same slots as a bitmask
-    roots: tuple[int, ...]  # roots[k - 1] is its threshold-k node
 
 
 class SeparatorNetwork:
-    """Every k's separator circuit of one (graph, family), in one gate array.
+    """Every k's separator circuit of one (graph, family), each shared part held once.
 
     ``family`` is ``"threshold"`` (threshold-k of the vertex monomials of
     the monomial universe), ``"clique"`` (the induced-k-clique circuit
@@ -230,25 +231,29 @@ class SeparatorNetwork:
     empty.  Networks come from one bounded memo (``_network``), since they
     depend on nothing else.
 
-    The array is built on the first request.  Each slot gets one input
-    node: its vertex's monomial, or its vertex's variable for
-    ``"induced"``.  Those nodes and the trees under them are the prefix,
-    the ids below ``lead``.  Above it lie the grafts, back to back:
-    one whole sorting network (``threshold_network``) per group of slots,
-    where the threshold family has one group of every slot and the clique
-    family one per maximal clique, in ``maximal_cliques`` order.  Each is
-    recorded as it is grafted (``Graft``).  Last come the OR trees, for
-    k = 1..slots: round k's is the OR of the threshold-k node of every
-    group with at least k slots (an OR of one node adds no gate), and its
-    root is ``outputs[k]``; it starts at ``tree_starts[k]``.
+    Nodes have ids.  Each slot gets one input node, its vertex's monomial
+    (or variable, for ``"induced"``); those nodes and the trees under them
+    are the prefix, ids below ``lead``, built on the first request and
+    validated once as ``array``.  Above them lie the grafts, one sorting
+    network (``threshold_network``) per group of slots, back to back, and
+    from ``top`` up round k's OR tree over the threshold-k node of every
+    group with at least k slots.  The threshold family has one group of
+    every slot, grafted into ``gates`` after the prefix, since a constant
+    slot folds some of its gates away.  The clique families have one group
+    per maximal clique, in ``maximal_cliques`` order, and store no graft
+    gate: node i of a group's network has id ``start + i``, and its inputs
+    are the group's slots, so all groups of one width share one cached
+    network.  Round k's tree is built on the first request for k
+    (``walk``), and a walk reads every node through it.
 
-    ``circuit(k)`` extracts round k's cone from the array (``extract``) on
-    every call; the network keeps none of them, nor the builder that made
-    the array.  Constant folding acts gate by gate and grafts never share
-    gates, so the cone is exactly the circuit a fresh builder would produce
-    for that k alone, grafting only each network's threshold-k cone.  The
-    array is validated once, as one circuit (``array``), and ``depth``
-    comes from one pass over it.
+    ``circuit(k)`` assembles round k's circuit on every call, numbered as
+    one builder would number it for that k alone: the prefix cone under the
+    slots the round reads, then each qualifying group's threshold-k cone
+    (``build_threshold_sort``), then the OR tree.  ``depth`` builds no
+    graft or tree gate: one ``node_depths`` pass over a group's network,
+    from its inputs' depths, gives its threshold-k nodes' depths, once per
+    pattern of input depths, and an OR tree pairs its leaves' depths as
+    ``CircuitBuilder.or_tree`` pairs nodes.
 
     Plays read a monomial network through tables built on a party's first
     request (``prefix_rows``, ``round``, ``graft_reads``), so networks that
@@ -272,9 +277,9 @@ class SeparatorNetwork:
         self.gates: tuple[Gate, ...] | None = None
         self._var_count = g.n if family == "induced" else len(self.pairs)
         self._rows: tuple[tuple[int, int], ...] | None = None
+        self._walks: dict[int, Sequence[Gate]] = {}
         self._rounds: dict[int, RoundTable] = {}
-        self._widths: dict[int, list[CountRow]] = {}
-        self._layouts: dict[int, tuple[Circuit, int, list[int]]] = {}
+        self._widths: dict[int, Sequence[CountRow]] = {}
 
     def _build(self) -> None:
         b = CircuitBuilder(self._var_count)
@@ -283,47 +288,120 @@ class SeparatorNetwork:
         else:
             slot_nodes = _vertex_monomials(b, self.g, self.pairs, self.vertices)
         self.slot_nodes = slot_nodes
-        self.lead = len(b)
-        groups = [tuple(range(self.slots))] if self.family == "threshold" else maximal_cliques(self.g)
-        self.grafts = []
-        for group in groups:
-            network, thresholds = threshold_network(len(group))
-            start = len(b)
-            nodes = b.graft(network, [slot_nodes[s] for s in group])
-            # the first graft of each width keeps its node map for graft_reads
-            self._layouts.setdefault(len(group), (network, start, nodes))
-            self.grafts.append(Graft(start, tuple(group), _mask(group), tuple(nodes[t] for t in thresholds)))
+        self.lead = top = len(b)
+        if self.family == "threshold":
+            network, thresholds = threshold_network(self.slots)
+            nodes = self._layout = b.graft(network, slot_nodes)  # the node map, until graft_reads inverts it
+            self.roots = [nodes[t] for t in thresholds]
+            self.grafts = [Graft(top, tuple(range(self.slots)))]
+            top = len(b)
+        else:
+            self.grafts = []
+            for group in maximal_cliques(self.g):
+                self.grafts.append(Graft(top, group))
+                top += len(threshold_network(len(group))[0].gates)
         self.graft_starts = [graft.start for graft in self.grafts]
-        self.outputs, self.tree_starts = [-1], [-1]
-        for k in range(1, self.slots + 1):
-            roots = [graft.roots[k - 1] for graft in self.grafts if len(graft.roots) >= k]
-            self.tree_starts.append(len(b))
-            self.outputs.append(b.or_tree(roots) if roots else b.const(0))
+        self.top = top
         self.array = b.snapshot(len(b) - 1)
         self.gates = self.array.gates
 
-    def output(self, k: int) -> int:
-        """The root of round k's circuit in the array."""
+    def _roots(self, k: int, grafts: Sequence[Graft]) -> list[int]:
+        """The threshold-k node of each of ``grafts``, every one with at least k slots."""
+        if self.family == "threshold":
+            return [self.roots[k - 1]]
+        at: dict[int, int] = {}  # per width, its network's threshold-k node
+        roots = []
+        for start, slots in grafts:
+            t = at.get(len(slots))
+            if t is None:
+                t = at[len(slots)] = threshold_network(len(slots))[1][k - 1]
+            roots.append(start + t if t >= len(slots) else self.slot_nodes[slots[t]])
+        return roots
+
+    def _ready(self, k: int) -> None:
+        """Check k, and build the prefix on the first request."""
         if not 1 <= k <= self.slots:
             raise ValueError(f"k={k} out of range 1..{self.slots}")
         if self.gates is None:
             self._build()
-        return self.outputs[k]
+
+    def walk(self, k: int) -> Sequence[Gate]:
+        """Round k's gates by id, as a walk reads them.
+
+        The threshold family stores them all.  A clique family's round
+        gets a ``_Walk``, its OR tree built here on the first request for k.
+        """
+        walk = self._walks.get(k)
+        if walk is None:
+            self._ready(k)
+            if self.family == "threshold":
+                walk = self.gates
+            else:
+                tree, top = [], self.top
+                roots = self._roots(k, [graft for graft in self.grafts if len(graft.slots) >= k])
+                # the gates or_tree would add, numbered from top
+                root = balanced(lambda x, y: tree.append((OR, x, y)) or top + len(tree) - 1, roots) if roots else top
+                walk = _Walk(self, tuple(tree) if roots else ((CONST, 0),), root)
+            self._walks[k] = walk
+        return walk
+
+    def output(self, k: int) -> int:
+        """The root of round k's circuit."""
+        walk = self.walk(k)
+        return self.roots[k - 1] if self.family == "threshold" else walk.root
 
     def circuit(self, k: int) -> Circuit:
-        """Round k's circuit: the cone of its root, pruned and renumbered."""
-        out = self.output(k)  # builds the array on the first request
-        return extract(self.gates, out, self._var_count)
+        """Round k's circuit: the cone of its root, pruned and renumbered in id order.
+
+        The threshold family's is the cone of its root in the stored graft,
+        renumbered to follow the prefix.  A clique family's comes from a
+        builder seeded with the prefix, which grafts each qualifying group's
+        threshold-k cone (``build_threshold_sort``) and ORs their roots, as
+        a builder for this k alone would.  When every slot is read, so is
+        every prefix node, and the prefix keeps its ids; otherwise the
+        whole is pruned to the root's cone (``extract``).
+        """
+        self._ready(k)
+        lead = self.lead
+        if self.family == "threshold":
+            ids = cone(self.gates, root := self.roots[k - 1], lead)
+            at = {old: new for new, old in enumerate(ids, lead)}
+            upper = [(op, at.get(x, x), at.get(y, y)) for op, x, y in map(self.gates.__getitem__, ids)]
+            whole = Circuit(self.gates[:lead] + tuple(upper), root := at.get(root, root), self._var_count)
+        else:
+            b = CircuitBuilder(self._var_count, self.gates)
+            roots = []
+            for graft in self.grafts:
+                if len(graft.slots) >= k:
+                    sub = build_threshold_sort(len(graft.slots), k)
+                    roots.append(b.graft(sub, [self.slot_nodes[s] for s in graft.slots])[sub.output])
+            if not roots:
+                return Circuit(((CONST, 0),), 0, self._var_count)
+            whole = b.snapshot(root := b.or_tree(roots))
+        reads = {c for gate in whole.gates[lead:] if gate[0] != CONST for c in gate[1:] if c < lead}
+        return whole if reads.issuperset(self.slot_nodes) else extract(whole.gates, root, self._var_count)
 
     @cached_property
     def depth(self) -> int:
-        """The deepest round's circuit depth, from one pass over the array."""
+        """The deepest round's circuit depth, with no graft or tree gate built."""
         if not self.slots:
             return 0
-        if self.gates is None:
-            self._build()
+        self._ready(1)
         depths = node_depths(self.gates)
-        return max(depths[out] for out in self.outputs[1:])
+        if self.family == "threshold":
+            return max(depths[root] for root in self.roots)
+        inputs, rows, memo = [depths[node] for node in self.slot_nodes], [], {}
+        for graft in self.grafts:
+            # per pattern of input depths, its threshold-k node's depth for each k
+            pattern = tuple(inputs[s] for s in graft.slots)
+            if pattern not in memo:
+                network, thresholds = threshold_network(len(pattern))
+                reached = node_depths(network.gates, pattern)
+                memo[pattern] = [reached[t] for t in thresholds]
+            rows.append(memo[pattern])
+        deeper = lambda x, y: (x if x > y else y) + 1  # noqa: E731
+        widest = len(max(rows, key=len))
+        return max(balanced(deeper, [row[k - 1] for row in rows if len(row) >= k]) for k in range(1, widest + 1))
 
     def prefix_rows(self) -> tuple[tuple[int, int], ...]:
         """Per node below ``lead``, the (vertex bit, partner mask) of the AND it is.
@@ -372,26 +450,27 @@ class SeparatorNetwork:
     def round(self, k: int) -> RoundTable:
         """Round k's play table, built on a party's first request for k.
 
-        The OR tree's gates lie from ``tree_starts[k]`` up to round k's
-        root; each must be an OR of tree gates or of groups' threshold-k
-        nodes, or ``CircuitInvariantError`` is raised.
+        Each gate of the OR tree the walk reads (``walk``) must be an OR of
+        tree gates or of groups' threshold-k nodes, or
+        ``CircuitInvariantError`` is raised.
         """
         table = self._rounds.get(k)
         if table is None:
-            root, start = self.output(k), self.tree_starts[k]
-            if root < start:
-                # an OR over one group, or none: the root is that group's node or a constant
+            root, top = self.output(k), self.top
+            if root < top:
+                # an OR over one group: the root is that group's node
                 table = RoundTable({}, (), [])
             else:
-                groups = [j for j, graft in enumerate(self.grafts) if len(graft.roots) >= k]
+                groups = [j for j, graft in enumerate(self.grafts) if len(graft.slots) >= k]
                 order = {j: i for i, j in enumerate(groups)}
-                under = {self.grafts[j].roots[k - 1]: 1 << i for j, i in order.items()}
+                roots = self._roots(k, [self.grafts[j] for j in groups])
+                under = {root: 1 << i for i, root in enumerate(roots)}
                 covers: list[int] = []
-                for node in range(start, root + 1):
-                    gate = self.gates[node]
+                for node, gate in enumerate(self.walk(k).tree, top):
                     if gate[0] != OR:
                         raise CircuitInvariantError(f"node {node} of round {k}'s OR tree is no OR gate")
-                    left, right = (covers[c - start] if c >= start else under.get(c) for c in gate[1:])
+                    left = covers[gate[1] - top] if gate[1] >= top else under.get(gate[1])
+                    right = covers[gate[2] - top] if gate[2] >= top else under.get(gate[2])
                     if left is None or right is None:
                         raise CircuitInvariantError(f"node {node} of round {k}'s OR tree reads no group")
                     covers.append(left | right)
@@ -403,34 +482,64 @@ class SeparatorNetwork:
             self._rounds[k] = table
         return table
 
-    def graft_reads(self, j: int) -> tuple[int, int, list[CountRow]]:
-        """Graft ``j``'s gates as count rows: (its first gate, its end, one row per gate).
+    def graft_reads(self, j: int) -> tuple[int, int, Sequence[CountRow]]:
+        """Graft ``j``'s ids as count rows: (its first id, its end, one row per id).
 
         The rows are those of its network's nodes (``count_tables``), one
         list per width, built the first time a walk enters a graft of that
-        width from the node map ``CircuitBuilder.graft`` returned for the
-        first graft of that width: each gate the graft added stands for the
-        first network node mapped to it.  A graft adds its gates last, after
-        a constant the first graft may add, so its gates end where the next
-        graft starts.  Grafts of one width are laid out alike: only the
-        threshold family, whose one graft covers every slot, can fold a
-        constant slot away.
+        width.  A clique family's graft is its network, id for id.  The
+        threshold family's one graft may have folded some gates away, so its
+        gates are matched up with the node map ``CircuitBuilder.graft``
+        returned: each gate the graft added stands for the first network
+        node mapped to it, after a constant the graft may add first.
         """
-        graft = self.grafts[j]
-        end = self.graft_starts[j + 1] if j + 1 < len(self.grafts) else self.tree_starts[1]
-        width = len(graft.slots)
-        reads = self._widths.get(width)
+        start, slots = self.grafts[j]
+        end = self.graft_starts[j + 1] if j + 1 < len(self.grafts) else self.top
+        reads = self._widths.get(len(slots))
         if reads is None:
-            network, start, nodes = self._layouts[width]
-            behind: dict[int, int] = {}  # each added node, in the order it was made, and its network node
-            for i, node in enumerate(nodes):
-                if node >= start:
-                    behind.setdefault(node, i)
-            rows = count_tables(network)
-            gates = self.gates
-            reads = self._widths[width] = [rows[i] for node, i in behind.items() if gates[node][0] != CONST]
-            del self._layouts[width]  # the rows hold all a play needs of it
+            reads = count_tables(threshold_network(len(slots))[0])
+            if self.family == "threshold":
+                behind: dict[int, int] = {}  # each added node, in the order it was made, and its network node
+                for i, node in enumerate(self._layout):
+                    if node >= start:
+                        behind.setdefault(node, i)
+                reads = [reads[i] for node, i in behind.items() if self.gates[node][0] != CONST]
+                del self._layout  # the rows hold all a play needs of it
+            self._widths[len(slots)] = reads
         return end - len(reads), end, reads
+
+
+class _Walk:
+    """A clique family's round k gates by id, read as ``_descend`` reads a gate array.
+
+    The prefix is read as it is stored, and the OR tree from ``top`` up.  A
+    graft node is its network's node, its children's ids moved to the
+    graft's (``window``: the last graft read, its first id and end, its
+    network's gates and its slots).
+    """
+
+    __slots__ = ("gates", "lead", "top", "tree", "root", "starts", "grafts", "slot_nodes", "window")
+
+    def __init__(self, net: SeparatorNetwork, tree: tuple[Gate, ...], root: int):
+        self.gates, self.lead, self.top, self.tree, self.root = net.gates, net.lead, net.top, tree, root
+        self.starts, self.grafts, self.slot_nodes = net.graft_starts, net.grafts, net.slot_nodes
+        self.window = (0, 0, (), ())
+
+    def __getitem__(self, node: int) -> Gate:
+        if node < self.lead:
+            return self.gates[node]
+        if node >= self.top:
+            return self.tree[node - self.top]
+        start, end, gates, slots = self.window
+        if not start <= node < end:
+            start, slots = self.grafts[bisect_right(self.starts, node) - 1]
+            gates = threshold_network(len(slots))[0].gates
+            end = start + len(gates)
+            self.window = (start, end, gates, slots)
+        op, left, right = gates[node - start]
+        width, nodes = len(slots), self.slot_nodes
+        left = left + start if left >= width else nodes[slots[left]]
+        return op, left, right + start if right >= width else nodes[slots[right]]
 
 
 class RoundTable(NamedTuple):
@@ -438,7 +547,7 @@ class RoundTable(NamedTuple):
 
     When round k's OR tree has a gate, ``groups`` maps each graft with at
     least k slots to its bit, in graft order; ``covers`` holds, per tree
-    gate from ``tree_starts[k]`` up, the bits of the groups under it; and
+    gate from ``top`` up, the bits of the groups under it; and
     ``columns`` holds, per slot, the bits of the groups that contain it.  A
     party counts with the columns which groups hold at least k of its
     slots, and a tree gate is 1 exactly when one of them is under it.  All
@@ -628,8 +737,8 @@ def _game_network(g: Graph, kind: GameKind) -> SeparatorNetwork:
 def game_circuit(g: Graph, idx: NonedgeIndex, kind: GameKind, k: int, cfg: GameConfig) -> Circuit:
     """The circuit both parties deterministically rebuild for round k.
 
-    Extracted from the network's array on every call; a play walks the same
-    gates in the array itself, from round k's root.  The circuit depends on
+    Assembled by the network on every call; a play walks the same gates by
+    id (``SeparatorNetwork.walk``), from round k's root.  The circuit depends on
     the graph, the kind and k alone: its variables are ``nonedges(g)``,
     which ``idx`` names, and ``cfg`` holds no circuit.  Neither is read.
     """
@@ -678,11 +787,11 @@ class _Party:
         # local input pattern), the last one read in ``window``
         self.k = self.root = 0
 
-    def say(self, meaning: str, width: int, node: int | None) -> str:
+    def say(self, meaning: str, width: int, left: int | None) -> str:
         """This party's bits for one message of ``_protocol``."""
-        if node is not None:
+        if left is not None:
             # a descend bit: "0" when the left child keeps this party's value
-            return "0" if self._value(self.net.gates[node][1]) == self.target else "1"
+            return "0" if self._value(left) == self.target else "1"
         if meaning == "set-size":
             return format(len(self.own), f"0{width}b")
         if meaning.endswith("clique-flag"):
@@ -719,26 +828,30 @@ class _Party:
         for slot, node in enumerate(net.slot_nodes):
             if holds(*rows[node]):
                 ones |= 1 << slot
-        self.k, self.root, self.ones, self.entered = k, net.outputs[k], ones, {}
-        self.lead, self.starts, self.tree_start = net.lead, net.graft_starts, net.tree_starts[k]
+        self.k, self.root, self.ones, self.entered = k, net.output(k), ones, {}
+        self.lead, self.starts, self.tree_start = net.lead, net.graft_starts, net.top
         self.groups, self.covers = table.groups, table.covers
         self.hits = _hits(ones, table.columns, k) if table.groups else 0
         self.window = _NO_WINDOW
 
     def _enter(self, j: int) -> tuple:
         """Graft ``j``'s window, its threshold-k node checked against the seed."""
-        graft, k, ones = self.net.grafts[j], self.k, self.ones
+        slots, k, ones = self.net.grafts[j].slots, self.k, self.ones
         start, end, reads = self.net.graft_reads(j)
-        if graft.slots[-1] == len(graft.slots) - 1:
+        if slots[-1] == len(slots) - 1:
             # slots 0..w-1: the pattern is the slot mask itself
-            pattern = ones & graft.mask
+            pattern = ones & ((1 << len(slots)) - 1)
         else:
-            pattern = sum(1 << i for i, s in enumerate(graft.slots) if ones >> s & 1)
-        root = graft.roots[k - 1] - start
-        # a root that folded out of the graft, onto a constant slot, is read where it lies
+            pattern = sum(1 << i for i, s in enumerate(slots) if ones >> s & 1)
+        if self.net.family == "threshold":
+            root = self.net.roots[k - 1] - start
+        else:
+            # node t of the network, an input for a group of one, whose row is exact too
+            root = threshold_network(len(slots))[1][k - 1]
+        # a root the threshold graft folded onto a constant slot is read where it lies
         if root >= 0:
             a, b, stair = reads[root]
-            seed = self.hits >> self.groups[j] & 1 if self.groups else (ones & graft.mask).bit_count() >= k
+            seed = self.hits >> self.groups[j] & 1 if self.groups else pattern.bit_count() >= k
             if ((pattern & b).bit_count() >= stair[(pattern & a).bit_count()]) != seed:
                 raise CircuitInvariantError("a graft disagrees with the threshold count of its inputs")
         window = self.entered[j] = (start, end, reads, pattern)
@@ -772,8 +885,8 @@ def _descend(
 ) -> int:
     """Walk ``gates`` from ``node`` to a variable, one bit per AND/OR gate.
 
-    Bob speaks at an AND gate, Alice at an OR gate, and "0" goes to the
-    left child.  ``stand`` sees every node the walk stands on, the first
+    Bob speaks at an AND gate, Alice at an OR gate, each told the gate's
+    left child, and "0" goes to that child.  ``stand`` sees every node the walk stands on, the first
     and the leaf included.  Returns the leaf's variable index.
     """
     while True:
@@ -784,7 +897,7 @@ def _descend(
             return gate[1]
         if gate[0] == CONST:
             raise CircuitInvariantError("reached a constant leaf during traversal")
-        bit = speak("B" if gate[0] == AND else "A", "descend", 1, node)
+        bit = speak("B" if gate[0] == AND else "A", "descend", 1, gate[1])
         node = gate[1] if bit == "0" else gate[2]
 
 
@@ -796,12 +909,12 @@ def _protocol(
 ) -> Pair:
     """The message schedule of every game; returns the agreed nonedge.
 
-    ``speak(sender, meaning, width, node)`` gives the bits of each message
+    ``speak(sender, meaning, width, left)`` gives the bits of each message
     in turn: in the clique-style games the handshake of ``_HANDSHAKE``,
     which ends the game at the first "0" flag with that sender's nonedge;
     then Alice's set size k; then one descend bit per gate on the walk of
-    round k's circuit, from its root in the network's array, where ``node``
-    is that gate (it is None for every other message).  ``stand`` is handed
+    round k's circuit, from its root in the network (``walk``), where
+    ``left`` is that gate's left child (it is None for every other message).  ``stand`` is handed
     to ``_descend``.  The walk's variable maps to its nonedge through the
     network's ``pairs``.
     """
@@ -811,7 +924,7 @@ def _protocol(
                 return _decode_pair(speak(sender, nonedge, 2 * vertex_field_width(g.n), None), g.n)
     k = int(speak("A", "set-size", size_field_width(g.n), None), 2)
     net = _game_network(g, kind)
-    return net.pairs[_descend(net.gates, net.output(k), speak, stand)]
+    return net.pairs[_descend(net.walk(k), net.output(k), speak, stand)]
 
 
 def find_separating_variable(
@@ -831,9 +944,9 @@ def find_separating_variable(
             "separation failure: assignments are not separated by this circuit"
         )
 
-    def speak(sender: str, meaning: str, width: int, node: int) -> str:
+    def speak(sender: str, meaning: str, width: int, left: int) -> str:
         vals, target = (ones, 1) if sender == "A" else (zeros, 0)
-        bit = "0" if vals[c.gates[node][1]] == target else "1"
+        bit = "0" if vals[left] == target else "1"
         if channel is not None:
             channel.send(sender, bit, meaning)
         return bit
@@ -1007,8 +1120,8 @@ def play(
     alice = _Party("A", g, a, kind)
     bob = _Party("B", g, b, kind)
 
-    def speak(sender: str, meaning: str, width: int, node: Optional[int]) -> str:
-        bits = ch.send(sender, (alice if sender == "A" else bob).say(meaning, width, node), meaning)
+    def speak(sender: str, meaning: str, width: int, left: Optional[int]) -> str:
+        bits = ch.send(sender, (alice if sender == "A" else bob).say(meaning, width, left), meaning)
         if meaning == "set-size":
             alice.prepare(int(bits, 2))
             bob.prepare(int(bits, 2))
@@ -1070,7 +1183,7 @@ def replay_transcript(
     entries = transcript.entries if isinstance(transcript, Transcript) else list(transcript)
     pos = 0
 
-    def take(sender: str, meaning: str, width: int, node: Optional[int]) -> str:
+    def take(sender: str, meaning: str, width: int, left: Optional[int]) -> str:
         nonlocal pos
         if pos == len(entries):
             raise ValueError(f"transcript ends where entry {pos + 1} ({meaning}) is due")
@@ -1099,9 +1212,10 @@ def bit_bound(kind: GameKind, g: Graph, config: Optional[GameConfig] = None) -> 
     fixed-width size announcement plus the depth of the deepest circuit the
     protocol could traverse, after two clique flags in the clique-style
     games; there the handshake branch, two flags and one vertex pair, is the
-    other way out.  The depth comes from one pass over the network's gate
-    array, which holds every k's circuit, so it is a checkable bound rather
-    than an asymptotic claim, and later plays find the network built.  The
+    other way out.  The depth is that of every k's circuit, worked out by
+    the network without building one (``SeparatorNetwork.depth``), so it is
+    a checkable bound rather than an asymptotic claim, and later plays find
+    the network's prefix built.  The
     bound depends on the graph and the kind alone; ``config`` is accepted
     and not read.
     """

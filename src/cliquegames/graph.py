@@ -358,14 +358,16 @@ def _check_limit(g: Graph, limit: int, what: str) -> None:
         raise OracleLimitError(f"oracle limit: {what} supports n <= {limit}, got n = {g.n}")
 
 
-@lru_cache(maxsize=_ORACLE_CACHE_SIZE)
-def _maximal_cliques_cached(g: Graph) -> tuple[tuple[int, ...], ...]:
+def _maximal_cliques(g: Graph, cap: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """All maximal cliques, sorted; past ``cap`` of them it stops and raises."""
     adj = g.adj
     found: list[int] = []
 
     def expand(r: int, p: int, x: int) -> None:
         if not p and not x:
             found.append(r)
+            if cap is not None and len(found) > cap:
+                raise OracleLimitError(f"oracle limit: more than {cap} maximal cliques")
             return
         pivot = max(_bits(p | x), key=lambda u: (p & adj[u]).bit_count())
         cand = p & ~adj[pivot]
@@ -384,18 +386,20 @@ def _maximal_cliques_cached(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(cliques)
 
 
+# only complete enumerations are memoized
+_maximal_cliques_cached = lru_cache(maxsize=_ORACLE_CACHE_SIZE)(_maximal_cliques)
+
+
 def maximal_cliques(g: Graph, max_count: int | None = None) -> list[tuple[int, ...]]:
     """All inclusion-maximal cliques via pivoted recursion, canonically ordered.
 
     The count can be exponential; pass ``max_count`` to fail loudly instead
-    of grinding.
+    of grinding: the enumeration stops at the first clique past the cap and
+    raises ``OracleLimitError``.  Only an uncapped enumeration is memoized.
     """
-    cliques = _maximal_cliques_cached(g)
-    if max_count is not None and len(cliques) > max_count:
-        raise OracleLimitError(
-            f"oracle limit: {len(cliques)} maximal cliques exceed cap {max_count}"
-        )
-    return list(cliques)
+    if max_count is None:
+        return list(_maximal_cliques_cached(g))
+    return list(_maximal_cliques(g, max_count))
 
 
 @lru_cache(maxsize=_ORACLE_CACHE_SIZE)

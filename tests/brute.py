@@ -13,7 +13,7 @@ import itertools
 from unittest import mock
 
 from cliquegames import games
-from cliquegames.circuit import node_values
+from cliquegames.circuit import cone, extract, node_values
 from cliquegames.graph import Graph, nonedges
 
 
@@ -197,8 +197,18 @@ def brute_party_vector(g: Graph, idx, kind_name: str, role: str, own) -> tuple:
     )
 
 
+def reference_values(net, k: int, vec) -> dict:
+    """Every node of round k's cone in ``net``, by id, evaluated on the whole vector ``vec``.
+
+    One ``node_values`` pass over the cone of round k's root, with the
+    gates read as the walk reads them (``net.walk(k)``).
+    """
+    walk, root = net.walk(k), net.output(k)
+    return dict(zip(cone(walk, root), node_values(extract(walk, root, len(vec)), vec)))
+
+
 class FullVectorParty(games._Party):
-    """A party that evaluates every node of the network's array on its whole vector.
+    """A party that evaluates every node of round k's cone on its whole vector.
 
     This is the one-pass ``node_values`` walk that the lazy evaluation of
     ``games._Party`` must reproduce value for value; the messages it says
@@ -209,7 +219,7 @@ class FullVectorParty(games._Party):
         self.net = games._game_network(self.g, self.kind)
         self.root = self.net.output(k)
         vec = brute_party_vector(self.g, nonedges(self.g), self.kind.name, self.role, self.own)
-        self.vals = node_values(self.net.array, vec)
+        self.vals = reference_values(self.net, k, vec)
 
     def _value(self, node):
         return self.vals[node]

@@ -15,6 +15,7 @@ from cliquegames.circuit import (
     CircuitInvariantError,
     build_threshold_sort,
     evaluate,
+    extract,
     node_values,
     serialize_circuit,
     threshold_network,
@@ -70,6 +71,7 @@ from brute import (
     full_vector_parties,
     reference_game_circuit,
     reference_play,
+    reference_values,
 )
 
 
@@ -193,6 +195,12 @@ class TestSeparatorCircuits:
             monomial_clique_circuit(g, nonedges(g), 2)
 
 
+def _moon_moser(t):
+    """K_{3,...,3} with t parts: 3^t maximal cliques, every one of size t."""
+    n = 3 * t
+    return graph_from_edges(n, [(u, v) for u, v in itertools.combinations(range(n), 2) if u // 3 != v // 3])
+
+
 def _assert_matches_reference(g, cfg):
     idx = nonedges(g)
     for kind in (BICLIQUE, CLIQUE):
@@ -207,6 +215,10 @@ def _assert_matches_reference(g, cfg):
                 continue
             got = serialize_circuit(game_circuit(g, idx, kind, k, cfg))
             assert got == want, (g.n, sorted(g.edges), kind.name, k)
+            # a play walks the same gates, read by id from round k's root
+            net = games_module._network(g, family)
+            walked = serialize_circuit(extract(net.walk(k), net.output(k), len(idx)))
+            assert walked == want, (g.n, sorted(g.edges), kind.name, k)
 
 
 class TestSharedNetwork:
@@ -221,6 +233,10 @@ class TestSharedNetwork:
     def test_matches_per_k_reference_on_random_graphs(self, n):
         g, _ = strip_stars(random_graph(n, 0.5, random.Random(n)))
         _assert_matches_reference(g, GameConfig())
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_matches_per_k_reference_on_moon_moser_graphs(self, t):
+        _assert_matches_reference(_moon_moser(t), GameConfig())
 
     def test_matches_per_k_reference_on_bipartite_graph(self):
         # vertex 1 is adjacent to the whole second part: a constant-1 monomial
@@ -248,8 +264,9 @@ class TestSharedNetwork:
         assert len(calls) == len(monomial_universe(g)) + g.n
 
     def test_network_keeps_no_circuits(self):
-        # each k's circuit is extracted on demand; the network holds only
-        # its one gate array, whatever was asked of it before, and no builder
+        # each k's circuit is assembled on demand; the network holds only
+        # its one validated array of stored gates, whatever was asked of it
+        # before, and no builder
         g, _ = strip_stars(random_graph(32, 0.5, random.Random(32)))
         idx = nonedges(g)
         cfg = GameConfig()
@@ -268,6 +285,23 @@ class TestSharedNetwork:
                     items = v.values() if isinstance(v, dict) else v
                     assert not any(isinstance(x, Circuit) for x in items)
 
+    def test_clique_network_holds_no_graft_gate(self):
+        # a whole-array network held 67,203 gates for this graph: its prefix,
+        # a copy of a sorting network per maximal clique and every k's OR tree
+        g, _ = strip_stars(random_graph(64, 0.5, random.Random(64)))
+        cfg = GameConfig()
+        bit_bound(CLIQUE, g, cfg)
+        net = games_module._network(g, "clique")
+        assert len(net.gates) == net.lead and not net._walks
+        for a, b in _random_inputs(g, random.Random(9), 12, cliques=True):
+            _outcome_or_error(lambda: play(CLIQUE, g, a, b, cfg))
+        rounds = sorted(net._walks)
+        assert len(rounds) >= 2
+        trees = [len(net.walk(k).tree) for k in rounds]
+        assert trees == [sum(len(graft.slots) >= k for graft in net.grafts) - 1 for k in rounds]
+        assert all(gate[0] == "OR" for k in rounds for gate in net.walk(k).tree)
+        # with every round's tree built it would still be under a third of it
+        assert len(net.gates) + sum(trees) < 67_203 // 3
 
     def test_equal_graphs_share_one_cache_entry(self):
         # the same P4 from the parser, from an edge list and from stripping a
@@ -435,7 +469,7 @@ class TestTwoLayerEvaluation:
             ref = party.__dict__.get("ref_vals")
             if ref is None:
                 vec = brute_party_vector(party.g, nonedges(party.g), party.kind.name, party.role, party.own)
-                ref = party.ref_vals = node_values(party.net.array, vec)
+                ref = party.ref_vals = reference_values(party.net, party.k, vec)
             assert val == ref[node], (party.role, party.kind.name, node)
             reads.append(node)
             return val
@@ -1277,6 +1311,7 @@ class TestBitBound:
         # both families, with and without the handshake branch
         graphs = list(catalog_all_graphs(5))
         graphs += [strip_stars(random_graph(n, 0.5, random.Random(n)))[0] for n in (16, 32, 64)]
+        graphs += [_moon_moser(t) for t in range(2, 6)]
         for g in graphs:
             cfg = GameConfig()
             for kind in (BICLIQUE, RELAXED_CLIQUE, CLIQUE):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -291,6 +292,25 @@ class TestOracles:
             max_edge_biclique(path_graph(17))
         with pytest.raises(OracleLimitError, match="maximal cliques"):
             maximal_cliques(cycle_graph(9), max_count=2)
+
+    def test_clique_cap_stops_the_enumeration(self):
+        # K_{3,...,3} with 11 parts has 3^11 = 177,147 maximal cliques
+        t = 11
+        g = graph_from_edges(3 * t, [(u, v) for u, v in itertools.combinations(range(3 * t), 2) if u // 3 != v // 3])
+        memo = graph_module._maximal_cliques_cached.cache_info()
+        start = time.perf_counter()
+        with pytest.raises(OracleLimitError, match="more than 5 maximal cliques"):
+            maximal_cliques(g, max_count=5)
+        assert time.perf_counter() - start < 0.1
+        # a capped enumeration neither reads nor fills the memo of complete ones
+        assert graph_module._maximal_cliques_cached.cache_info() == memo
+        # a cap at or above the count returns the whole list
+        small = graph_from_edges(9, [(u, v) for u, v in itertools.combinations(range(9), 2) if u // 3 != v // 3])
+        everything = maximal_cliques(small)
+        assert len(everything) == 27
+        assert maximal_cliques(small, max_count=27) == maximal_cliques(small, max_count=10**6) == everything
+        with pytest.raises(OracleLimitError, match="more than 26 maximal cliques"):
+            maximal_cliques(small, max_count=26)
 
     def test_caches_are_bounded(self):
         for oracle in (
