@@ -36,9 +36,11 @@ from shared data instead of exchanging them.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .circuit import (
@@ -64,6 +66,7 @@ from .graph import (
     Graph,
     NonedgeIndex,
     Pair,
+    _bits,
     _common_neighbor_mask,
     _mask,
     common_neighbors,
@@ -244,7 +247,8 @@ class SeparatorNetwork:
     gate: node i of a group's network has id ``start + i``, and its inputs
     are the group's slots, so all groups of one width share one cached
     network.  Round k's tree is built on the first request for k
-    (``walk``), and a walk reads every node through it.
+    (``walk``), two child ids per gate, and a walk reads every node above
+    the prefix through it.
 
     ``circuit(k)`` assembles round k's circuit on every call, numbered as
     one builder would number it for that k alone: the prefix cone under the
@@ -256,16 +260,21 @@ class SeparatorNetwork:
     ``CircuitBuilder.or_tree`` pairs nodes.
 
     Plays read a monomial network through tables built on a party's first
-    request (``prefix_rows``, ``round``, ``graft_reads``), so networks that
-    only serve circuits never hold one, and every node a walk reads is read
-    in closed form.  A prefix node is the AND of the nonedges from one
-    vertex to a set of partners (a vertex monomial, a subtree of one, or a
-    single variable), so one (vertex bit, partner mask) row per node gives
-    any party's value from its own set mask alone.  A graft node is a node
-    of its sorting network, so its ``count_tables`` row gives its value
-    from two counts of the graft's slots that hold.  An OR-tree node is 1
-    exactly when some group under it holds at least k of its slots
-    (``RoundTable``).
+    request (``prefix_rows``, ``slot_table``, ``round``, ``graft_reads``),
+    so networks that only serve circuits never hold one, and every node a
+    walk reads is read in closed form.  A prefix node is the AND of the
+    nonedges from one vertex to a set of partners (a vertex monomial, a
+    subtree of one, or a single variable), so one (vertex bit, partner
+    mask) row per node gives any party's value from its own set mask alone.
+    Which slots hold follows from the set masks and per-vertex partner
+    masks by mask algebra (``SlotTable``), and which groups hold at least k
+    of them from one column of groups per slot, built once per network in
+    network group order.  A graft node is a node of its sorting network, so
+    its ``count_tables`` row gives its value from two counts of the graft's
+    slots that hold.  An OR-tree node covers one run of groups, stored as
+    its first and last position (``RoundTable``), so the tables of a round
+    grow linearly in its groups; it is 1 exactly when some group of that
+    run holds at least k of its slots.
     """
 
     def __init__(self, g: Graph, family: str):
@@ -277,6 +286,7 @@ class SeparatorNetwork:
         self.gates: tuple[Gate, ...] | None = None
         self._var_count = g.n if family == "induced" else len(self.pairs)
         self._rows: tuple[tuple[int, int], ...] | None = None
+        self._slot_table: SlotTable | None = None
         self._walks: dict[int, Sequence[Gate]] = {}
         self._rounds: dict[int, RoundTable] = {}
         self._widths: dict[int, Sequence[CountRow]] = {}
@@ -305,18 +315,21 @@ class SeparatorNetwork:
         self.array = b.snapshot(len(b) - 1)
         self.gates = self.array.gates
 
-    def _roots(self, k: int, grafts: Sequence[Graft]) -> list[int]:
-        """The threshold-k node of each of ``grafts``, every one with at least k slots."""
-        if self.family == "threshold":
-            return [self.roots[k - 1]]
+    def _leaves(self, k: int) -> tuple[list[int], list[int]]:
+        """A clique family's round k groups, those with at least k slots, and their threshold-k nodes.
+
+        The groups are given by their positions in network order.
+        """
         at: dict[int, int] = {}  # per width, its network's threshold-k node
-        roots = []
-        for start, slots in grafts:
-            t = at.get(len(slots))
-            if t is None:
-                t = at[len(slots)] = threshold_network(len(slots))[1][k - 1]
-            roots.append(start + t if t >= len(slots) else self.slot_nodes[slots[t]])
-        return roots
+        groups, roots, nodes = [], [], self.slot_nodes
+        for j, (start, slots) in enumerate(self.grafts):
+            if len(slots) >= k:
+                t = at.get(len(slots))
+                if t is None:
+                    t = at[len(slots)] = threshold_network(len(slots))[1][k - 1]
+                groups.append(j)
+                roots.append(start + t if t >= len(slots) else nodes[slots[t]])
+        return groups, roots
 
     def _ready(self, k: int) -> None:
         """Check k, and build the prefix on the first request."""
@@ -334,16 +347,15 @@ class SeparatorNetwork:
         walk = self._walks.get(k)
         if walk is None:
             self._ready(k)
-            if self.family == "threshold":
-                walk = self.gates
-            else:
-                tree, top = [], self.top
-                roots = self._roots(k, [graft for graft in self.grafts if len(graft.slots) >= k])
-                # the gates or_tree would add, numbered from top
-                root = balanced(lambda x, y: tree.append((OR, x, y)) or top + len(tree) - 1, roots) if roots else top
-                walk = _Walk(self, tuple(tree) if roots else ((CONST, 0),), root)
-            self._walks[k] = walk
+            walk = self._walks[k] = self.gates if self.family == "threshold" else self._tree_walk(self._leaves(k)[1])
         return walk
+
+    def _tree_walk(self, roots: list[int]) -> _Walk:
+        """A clique family's walk over the OR tree of ``roots``: the gates or_tree would add, from ``top``."""
+        if not roots:
+            return _Walk(self, ((CONST, 0),), self.top)
+        tree = _OrTree(self.top)
+        return _Walk(self, tree, balanced(tree.join, roots))
 
     def output(self, k: int) -> int:
         """The root of round k's circuit."""
@@ -440,47 +452,105 @@ class SeparatorNetwork:
 
             # nonedges run between any two vertices, or across the parts
             space = g.full_mask if g.bipartition is None else _mask(g.bipartition[1])
+            verified = self._slot_partners = []
             for v, root in zip(self.vertices, self.slot_nodes):
                 bit = bits[v]
-                if partners(root) != space & ~g.adj[v] & ~bit:
+                verified.append(partners(root))
+                if verified[-1] != space & ~g.adj[v] & ~bit:
                     raise CircuitInvariantError(f"prefix node {root} is not the monomial of vertex {v}")
             self._rows = tuple(rows)
         return self._rows
 
+    def slot_table(self) -> SlotTable:
+        """The network's ``SlotTable``, built on a party's first request.
+
+        Every slot's partners are its row in ``prefix_rows``, as that pass
+        verified them against the graph; a vertex that is no slot gets the
+        slot vertices it is a partner of.  A clique family's group columns
+        are set one byte per (group, slot) and read as ints once.
+        """
+        if self._slot_table is None:
+            self.prefix_rows()
+            n, vertices, verified = self.g.n, self.vertices, self._slot_partners
+            partners, space, constant = [0] * n, 0, 0
+            for v, found in zip(vertices, verified):
+                partners[v] = found
+                space |= 1 << v
+                if not found:
+                    constant |= 1 << v
+            for v, found in zip(vertices, verified):
+                for u in _bits(found & ~space):
+                    partners[u] |= 1 << v
+            by_count = tuple(sorted((found.bit_count(), 1 << v, found) for v, found in zip(vertices, verified)))
+            spread = None
+            if self.slots != n:
+                spread = [0] * n
+                for s, v in enumerate(vertices):
+                    spread[v] = 1 << s
+            columns = []
+            if self.family != "threshold":
+                bufs = [bytearray(len(self.grafts) // 8 + 1) for _ in range(self.slots)]
+                for j, graft in enumerate(self.grafts):
+                    byte, bit = j >> 3, 1 << (j & 7)
+                    for s in graft.slots:
+                        bufs[s][byte] |= bit
+                columns = [int.from_bytes(buf, "little") for buf in bufs]
+            self._slot_table = SlotTable(partners, by_count, space, constant, spread, columns)
+            del self._slot_partners  # the table holds all a play needs of them
+        return self._slot_table
+
     def round(self, k: int) -> RoundTable:
         """Round k's play table, built on a party's first request for k.
 
-        Each gate of the OR tree the walk reads (``walk``) must be an OR of
-        tree gates or of groups' threshold-k nodes, or
-        ``CircuitInvariantError`` is raised.
+        Each gate of the OR tree the walk reads (``walk``) must be an OR
+        whose children are tree gates below it or groups' threshold-k nodes,
+        and the groups under its two children must be two adjacent runs, in
+        group order, or ``CircuitInvariantError`` is raised.  So every gate
+        covers one run of groups, and its first and last position say
+        exactly which.
         """
         table = self._rounds.get(k)
         if table is None:
-            root, top = self.output(k), self.top
-            if root < top:
-                # an OR over one group: the root is that group's node
-                table = RoundTable({}, (), [])
-            else:
-                groups = [j for j, graft in enumerate(self.grafts) if len(graft.slots) >= k]
-                order = {j: i for i, j in enumerate(groups)}
-                roots = self._roots(k, [self.grafts[j] for j in groups])
-                under = {root: 1 << i for i, root in enumerate(roots)}
-                covers: list[int] = []
-                for node, gate in enumerate(self.walk(k).tree, top):
-                    if gate[0] != OR:
-                        raise CircuitInvariantError(f"node {node} of round {k}'s OR tree is no OR gate")
-                    left = covers[gate[1] - top] if gate[1] >= top else under.get(gate[1])
-                    right = covers[gate[2] - top] if gate[2] >= top else under.get(gate[2])
-                    if left is None or right is None:
-                        raise CircuitInvariantError(f"node {node} of round {k}'s OR tree reads no group")
-                    covers.append(left | right)
-                columns = [0] * self.slots
-                for j, i in order.items():
-                    for s in self.grafts[j].slots:
-                        columns[s] |= 1 << i
-                table = RoundTable(order, tuple(covers), columns)
-            self._rounds[k] = table
+            table = self._rounds[k] = self._round(k)
         return table
+
+    def _round(self, k: int) -> RoundTable:
+        self._ready(k)
+        if self.family == "threshold":
+            return RoundTable((), ())  # the root is a node of the one group
+        groups, roots = self._leaves(k)
+        walk = self._walks.get(k)
+        if walk is None:
+            walk = self._walks[k] = self._tree_walk(roots)
+        top = self.top
+        if walk.root < top:
+            return RoundTable((), ())  # one group: its node is the root
+        # per tree gate, the first and the last position among ``groups`` of the run under it
+        first, last = array("l"), array("l")
+        leaf, count = 0, len(roots)  # the group the next leaf must be: ``balanced`` joins them in order
+        for node, gate in enumerate(walk.tree, top):
+            if gate[0] != OR:
+                raise _tree_error(node, k, "is no OR gate")
+            x, y = gate[1], gate[2]
+            if top <= x < node:
+                lo, mid = first[x - top], last[x - top]
+            elif leaf < count and roots[leaf] == x:
+                lo = mid = leaf
+                leaf += 1
+            else:
+                raise _tree_error(node, k, "joins groups that are not adjacent" if x in roots else "reads no group")
+            if top <= y < node:
+                on, hi = first[y - top], last[y - top]
+            elif leaf < count and roots[leaf] == y:
+                on = hi = leaf
+                leaf += 1
+            else:
+                raise _tree_error(node, k, "joins groups that are not adjacent" if y in roots else "reads no group")
+            if mid + 1 != on:
+                raise _tree_error(node, k, "joins groups that are not adjacent")
+            first.append(lo)
+            last.append(hi)
+        return RoundTable(array("l", map(groups.__getitem__, first)), array("l", map(groups.__getitem__, last)))
 
     def graft_reads(self, j: int) -> tuple[int, int, Sequence[CountRow]]:
         """Graft ``j``'s ids as count rows: (its first id, its end, one row per id).
@@ -509,18 +579,51 @@ class SeparatorNetwork:
         return end - len(reads), end, reads
 
 
+def _tree_error(node: int, k: int, what: str) -> CircuitInvariantError:
+    return CircuitInvariantError(f"node {node} of round {k}'s OR tree {what}")
+
+
+class _OrTree:
+    """Round k's OR tree, numbered from ``top``, read as a tuple of (OR, left, right) gates.
+
+    It stores two child ids per gate and no gate object, so a round of a
+    network with many groups costs two machine words per gate.
+    """
+
+    __slots__ = ("top", "left", "right")
+
+    def __init__(self, top: int):
+        self.top, self.left, self.right = top, array("l"), array("l")
+
+    def join(self, x: int, y: int) -> int:
+        """Add the gate OR(x, y) and return its id."""
+        self.left.append(x)
+        self.right.append(y)
+        return self.top + len(self.left) - 1
+
+    def __len__(self) -> int:
+        return len(self.left)
+
+    def __getitem__(self, i: int) -> Gate:
+        return OR, self.left[i], self.right[i]
+
+    def __iter__(self):
+        return zip(repeat(OR), self.left, self.right)
+
+
 class _Walk:
-    """A clique family's round k gates by id, read as ``_descend`` reads a gate array.
+    """A clique family's round k gates by id, read as a gate array.
 
     The prefix is read as it is stored, and the OR tree from ``top`` up.  A
     graft node is its network's node, its children's ids moved to the
     graft's (``window``: the last graft read, its first id and end, its
-    network's gates and its slots).
+    network's gates and its slots).  ``_descend`` reads the prefix straight
+    from the stored gates and only the nodes above it through the walk.
     """
 
     __slots__ = ("gates", "lead", "top", "tree", "root", "starts", "grafts", "slot_nodes", "window")
 
-    def __init__(self, net: SeparatorNetwork, tree: tuple[Gate, ...], root: int):
+    def __init__(self, net: SeparatorNetwork, tree: Sequence[Gate], root: int):
         self.gates, self.lead, self.top, self.tree, self.root = net.gates, net.lead, net.top, tree, root
         self.starts, self.grafts, self.slot_nodes = net.graft_starts, net.grafts, net.slot_nodes
         self.window = (0, 0, (), ())
@@ -542,21 +645,46 @@ class _Walk:
         return op, left, right + start if right >= width else nodes[slots[right]]
 
 
-class RoundTable(NamedTuple):
-    """What a play of round k reads of its network beyond the slot masks.
+class SlotTable(NamedTuple):
+    """What a play reads of its network to tell which slots hold, built once per network.
 
-    When round k's OR tree has a gate, ``groups`` maps each graft with at
-    least k slots to its bit, in graft order; ``covers`` holds, per tree
-    gate from ``top`` up, the bits of the groups under it; and
-    ``columns`` holds, per slot, the bits of the groups that contain it.  A
-    party counts with the columns which groups hold at least k of its
-    slots, and a tree gate is 1 exactly when one of them is under it.  All
-    three are empty when the tree has no gate.
+    A slot's monomial is the AND of the nonedges from its vertex to that
+    vertex's partners, so which slots hold follows from a party's set mask
+    by a few ORs of partner masks (``_Party.prepare``).  ``partners`` holds
+    per vertex its nonedge partners: a slot vertex's are its slot's
+    verified row, and a vertex that is no slot (the second part of a
+    bipartite graph) gets the slot vertices it is a partner of.
+    ``by_count`` lists the slot vertices as (partner count, vertex bit,
+    partners), fewest partners first.  ``space`` is the mask of the slot
+    vertices and ``constant`` of those with no partner, whose monomial is
+    constant 1.  ``spread`` gives each vertex its slot's bit when the slots
+    are not the vertices 0..n-1 in order, and is None when they are.
+    ``columns`` (clique families only; empty for the threshold family's one
+    group) holds per slot the groups that contain it, one bit per group in
+    network order.
     """
 
-    groups: dict[int, int]
-    covers: tuple[int, ...]
+    partners: list[int]
+    by_count: tuple[tuple[int, int, int], ...]
+    space: int
+    constant: int
+    spread: list[int] | None
     columns: list[int]
+
+
+class RoundTable(NamedTuple):
+    """Round k's OR tree as a play reads it: each gate's run of groups.
+
+    Per tree gate from ``top`` up, the groups under it are those at
+    positions ``first`` through ``last`` in network order, but for any
+    group between them with fewer than k slots, which never holds k of
+    them.  A party counts with the network's columns which groups hold at
+    least k of its slots (``_hits``), and a tree gate is 1 exactly when one
+    of them lies in its run.  Both are empty when the tree has no gate.
+    """
+
+    first: Sequence[int]
+    last: Sequence[int]
 
 
 def _hits(ones: int, columns: Sequence[int], k: int) -> int:
@@ -647,7 +775,7 @@ def _entry(round: int, sender: str, bits: str, meaning: str) -> TranscriptEntry:
     return TranscriptEntry(round, sender, bits, meaning)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transcript:
     """The entries of one play, in order; built from any iterable of them."""
 
@@ -712,7 +840,11 @@ def _encode_pair(pair: Pair, n: int) -> str:
 
 
 def _decode_pair(bits: str, n: int) -> Pair:
-    """Inverse of ``_encode_pair``; rejects anything it could not have sent."""
+    """Inverse of ``_encode_pair``; rejects anything it could not have sent.
+
+    ``play`` sends the smaller vertex first (``find_nonedge_within`` gives
+    u < v), so a pair in the other order raises too.
+    """
     w = vertex_field_width(n)
     if len(bits) != 2 * w or not _binary(bits):
         raise ValueError(f"a vertex pair takes {2 * w} binary digits, got {bits!r}")
@@ -721,7 +853,9 @@ def _decode_pair(bits: str, n: int) -> Pair:
         raise ValueError(f"vertex pair ({u}, {v}) out of range for n={n}")
     if u == v:
         raise ValueError(f"vertex pair ({u}, {v}) names one vertex twice")
-    return (u, v) if u < v else (v, u)
+    if u > v:
+        raise ValueError(f"vertex pair ({u}, {v}) is not sent smaller vertex first")
+    return u, v
 
 
 # --------------------------------------------------------------------------
@@ -760,38 +894,42 @@ class _Party:
 
     A party never builds its vector over the nonedges, and it evaluates no
     gate: every node the walk reads is read in closed form from the
-    network's tables (see ``SeparatorNetwork``).  ``prepare`` sets which
-    slots hold, one ``_holds`` per slot root on its prefix row, and, when
-    round k has an OR tree, which groups hold at least k of those slots
-    (``_hits``).  A monomial-tree node is one ``_holds`` on its row, and an
-    OR-tree node is 1 exactly when a group under it holds.  A graft node is
-    two popcounts of the graft's local input pattern and one index into its
+    network's tables (see ``SeparatorNetwork``).  ``prepare`` works out
+    which slots hold by mask algebra on the network's ``SlotTable``, with
+    work in the size of the sets and not in the number of slots: Alice's
+    are her own and those whose partners all lie in ``a``, found among the
+    slots with at most |a| partners; Bob's are all but those whose vertex or
+    some partner is in ``b``, or, in the relaxed game, whose vertex and some
+    partner are in Γ(b).  When round k has an OR tree it also works out
+    which groups hold at least k of those slots (``_hits``).  A
+    monomial-tree node is read from its prefix row, and an OR-tree node is
+    1 exactly when a group in its run holds.  A graft node is two
+    popcounts of the graft's local input pattern and one index into its
     count row.  The first read of a graft (``_enter``) takes that pattern
     and checks the graft's threshold-k node against the seed the walk was
     promised: the group's hit, or the count of its slots that hold when the
     round has no tree.  So a play reads only the nodes its walk touches.
     """
 
-    def __init__(self, role: str, g: Graph, own: frozenset, kind: GameKind):
+    def __init__(self, role: str, g: Graph, own: frozenset, kind: GameKind, mask: int | None = None):
         self.role = role
         self.target = 1 if role == "A" else 0
         self.g = g
         self.own = own
         self.kind = kind
         self.net: SeparatorNetwork | None = None
-        self.mask = 0
+        self.mask = _mask(own) if mask is None else mask
         self.gamma = 0
         # ``prepare`` sets the round and its root, the prefix rows, which
         # slots and groups hold and where the layers start; each graft
         # entered (``entered``) gets a window (first gate, end, count rows,
-        # local input pattern), the last one read in ``window``
+        # local input pattern), the last one read in ``window``.  ``chose``
+        # is the last left child this party found at its own target value.
         self.k = self.root = 0
+        self.chose = -1
 
-    def say(self, meaning: str, width: int, left: int | None) -> str:
-        """This party's bits for one message of ``_protocol``."""
-        if left is not None:
-            # a descend bit: "0" when the left child keeps this party's value
-            return "0" if self._value(left) == self.target else "1"
+    def say(self, meaning: str, width: int) -> str:
+        """This party's bits for one message of ``_protocol`` other than a descend bit."""
         if meaning == "set-size":
             return format(len(self.own), f"0{width}b")
         if meaning.endswith("clique-flag"):
@@ -800,38 +938,44 @@ class _Party:
         assert pair is not None
         return _encode_pair(pair, self.g.n)
 
-    def _holds(self, bit: int, partners: int) -> int:
-        """This party's value of the AND over the nonedges from ``bit`` to ``partners``.
-
-        ``bit`` is one vertex's bit.  With all its nonedge partners this is
-        the vertex monomial (constant 1 when there are none); with one
-        partner it is that nonedge's variable.
-        """
-        m = self.mask
-        if self.role == "A":
-            # Alice's vector is 1 exactly on the nonedges touching a
-            return 1 if m & bit or not partners & ~m else 0
-        # Bob's is 0 on the nonedges touching b, and in the relaxed game
-        # also on those with both endpoints in Γ(b)
-        gm = self.gamma
-        return 0 if partners and (m & bit or partners & m or (gm & bit and partners & gm)) else 1
-
     def prepare(self, k: int) -> None:
         """Get ready to read round k: which slots, and which groups, hold."""
         net = self.net = _game_network(self.g, self.kind)
         table = net.round(k)
-        self.mask = _mask(self.own)
-        if self.role == "B" and self.kind.name == "relaxed-clique":
-            self.gamma = _gamma_mask(self.g, self.mask)
-        rows = self.rows = net.prefix_rows()
-        holds, ones = self._holds, 0
-        for slot, node in enumerate(net.slot_nodes):
-            if holds(*rows[node]):
-                ones |= 1 << slot
+        masks = net.slot_table()
+        self.rows = net.prefix_rows()
+        m = self.mask
+        if self.target:
+            # Alice's vector is 1 exactly on the nonedges touching a: a slot
+            # holds when its vertex is in a or all its partners are, which
+            # only a slot with at most |a| partners can
+            held, size = m, len(self.own)
+            for count, bit, partners in masks.by_count:
+                if count > size:
+                    break
+                if not partners & ~m:
+                    held |= bit
+            held &= masks.space
+        else:
+            # Bob's is 0 on the nonedges touching b, and in the relaxed game
+            # also on those with both endpoints in Γ(b): a slot fails when
+            # its vertex or a partner is in b, or its vertex and a partner
+            # are in Γ(b), unless it has no partner at all
+            partners, touched = masks.partners, m
+            for v in self.own:
+                touched |= partners[v]
+            if self.kind.name == "relaxed-clique":
+                gm = self.gamma = _gamma_mask(self.g, m)
+                spanned = 0
+                for v in _bits(gm):
+                    spanned |= partners[v]
+                touched |= gm & spanned
+            held = masks.space & ~touched | masks.constant
+        ones = held if masks.spread is None else sum(masks.spread[v] for v in _bits(held))
         self.k, self.root, self.ones, self.entered = k, net.output(k), ones, {}
         self.lead, self.starts, self.tree_start = net.lead, net.graft_starts, net.top
-        self.groups, self.covers = table.groups, table.covers
-        self.hits = _hits(ones, table.columns, k) if table.groups else 0
+        self.first, self.last = table
+        self.hits = _hits(ones, masks.columns, k) if table.first else 0
         self.window = _NO_WINDOW
 
     def _enter(self, j: int) -> tuple:
@@ -851,7 +995,7 @@ class _Party:
         # a root the threshold graft folded onto a constant slot is read where it lies
         if root >= 0:
             a, b, stair = reads[root]
-            seed = self.hits >> self.groups[j] & 1 if self.groups else pattern.bit_count() >= k
+            seed = self.hits >> j & 1 if self.first else pattern.bit_count() >= k
             if ((pattern & b).bit_count() >= stair[(pattern & a).bit_count()]) != seed:
                 raise CircuitInvariantError("a graft disagrees with the threshold count of its inputs")
         window = self.entered[j] = (start, end, reads, pattern)
@@ -859,11 +1003,19 @@ class _Party:
 
     def _value(self, node: int) -> int:
         if node < self.lead:
-            # a node of a monomial tree, at or below a slot root
-            return self._holds(*self.rows[node])
+            # a node of a monomial tree, at or below a slot root: the AND of
+            # the nonedges from one vertex to its partners
+            bit, partners = self.rows[node]
+            m = self.mask
+            if self.target:
+                return 1 if m & bit or not partners & ~m else 0
+            gm = self.gamma
+            return 0 if partners and (m & bit or partners & m or (gm & bit and partners & gm)) else 1
         if node >= self.tree_start:
-            # a gate of round k's OR tree
-            return 1 if self.hits & self.covers[node - self.tree_start] else 0
+            # a gate of round k's OR tree: does a group in its run hold?
+            i = node - self.tree_start
+            first = self.first[i]
+            return 1 if self.hits >> first & ((2 << (self.last[i] - first)) - 1) else 0
         start, end, reads, pattern = self.window
         if not start <= node < end:
             # a graft, entered the first time
@@ -877,28 +1029,39 @@ class _Party:
 # the message schedule
 
 
+# who speaks at a gate the walk stands on; any other gate is a leaf
+_SPEAKER = {AND: "B", OR: "A"}
+
+
 def _descend(
     gates: Sequence[Gate],
     node: int,
     speak: Callable[[str, str, int, Optional[int]], str],
     stand: Optional[Callable[[int], None]] = None,
+    upper: Optional[Sequence[Gate]] = None,
 ) -> int:
-    """Walk ``gates`` from ``node`` to a variable, one bit per AND/OR gate.
+    """Walk from ``node`` to a variable, one bit per AND/OR gate.
 
-    Bob speaks at an AND gate, Alice at an OR gate, each told the gate's
-    left child, and "0" goes to that child.  ``stand`` sees every node the walk stands on, the first
-    and the leaf included.  Returns the leaf's variable index.
+    ``gates`` holds the nodes below ``len(gates)`` and ``upper``, when
+    given, reads those above (a clique family's grafts and OR tree, through
+    ``_Walk``); ids fall along the walk, so once it is in ``gates`` it stays
+    there.  Bob speaks at an AND gate, Alice at an OR gate, each told the
+    gate's left child, and "0" goes to that child.  ``stand`` sees every
+    node the walk stands on, the first and the leaf included.  Returns the
+    leaf's variable index.
     """
+    lead = len(gates)
     while True:
         if stand is not None:
             stand(node)
-        gate = gates[node]
-        if gate[0] == VAR:
-            return gate[1]
-        if gate[0] == CONST:
+        gate = gates[node] if node < lead else upper[node]
+        sender = _SPEAKER.get(gate[0])
+        if sender is None:
+            if gate[0] == VAR:
+                return gate[1]
             raise CircuitInvariantError("reached a constant leaf during traversal")
-        bit = speak("B" if gate[0] == AND else "A", "descend", 1, gate[1])
-        node = gate[1] if bit == "0" else gate[2]
+        left = gate[1]
+        node = left if speak(sender, "descend", 1, left) == "0" else gate[2]
 
 
 def _protocol(
@@ -924,7 +1087,9 @@ def _protocol(
                 return _decode_pair(speak(sender, nonedge, 2 * vertex_field_width(g.n), None), g.n)
     k = int(speak("A", "set-size", size_field_width(g.n), None), 2)
     net = _game_network(g, kind)
-    return net.pairs[_descend(net.walk(k), net.output(k), speak, stand)]
+    walk = net.walk(k)
+    # the stored gates are read as they are; a clique family's walk reads the rest
+    return net.pairs[_descend(net.gates, net.output(k), speak, stand, walk)]
 
 
 def find_separating_variable(
@@ -958,7 +1123,7 @@ def find_separating_variable(
 # outcome, validation, play
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Outcome:
     kind: GameKind
     graph: Graph
@@ -1020,11 +1185,24 @@ def legal_answer(kind: GameKind, g: Graph, a: frozenset, b: frozenset, pair: Pai
     return (u in a and v in gamma) or (v in a and u in gamma)
 
 
-def _check_structure(kind: GameKind, g: Graph, a: frozenset, b: frozenset) -> None:
-    for v in a | b:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-    if a & b:
+def _mask_within(s: frozenset, n: int) -> int | None:
+    """The mask of ``s``, or None if a vertex lies outside 0..n-1 (checked before its bit is made)."""
+    m = 0
+    for v in s:
+        if not 0 <= v < n:
+            return None
+        m |= 1 << v
+    return m
+
+
+def _check_structure(kind: GameKind, g: Graph, a: frozenset, b: frozenset) -> tuple[int, int]:
+    """The checks on the input that call no oracle; returns the masks of ``a`` and ``b``."""
+    am, bm = _mask_within(a, g.n), _mask_within(b, g.n)
+    if am is None or bm is None:
+        for v in a | b:
+            if not 0 <= v < g.n:
+                raise ValueError(f"vertex {v} out of range")
+    if am & bm:
         raise PromiseViolationError("rejected input: the two sets intersect")
     if has_complete_star(g):
         raise ValueError("graph has a complete star; apply strip_stars first")
@@ -1042,6 +1220,7 @@ def _check_structure(kind: GameKind, g: Graph, a: frozenset, b: frozenset) -> No
                 raise PromiseViolationError("rejected input: a must lie in the first part")
             if not b <= right:
                 raise PromiseViolationError("rejected input: b must lie in the second part")
+    return am, bm
 
 
 def promise_bound(kind: GameKind, g: Graph) -> int:
@@ -1114,23 +1293,35 @@ def play(
     cfg = config if config is not None else GameConfig()
     a = frozenset(a)
     b = frozenset(b)
-    _check_structure(kind, g, a, b)
+    am, bm = _check_structure(kind, g, a, b)
     promise_verified, edge_bound = _check_promise(kind, g, a, b, cfg)
-    ch = _Channel()
-    alice = _Party("A", g, a, kind)
-    bob = _Party("B", g, b, kind)
+    entries: list[TranscriptEntry] = []
+    alice = _Party("A", g, a, kind, am)
+    bob = _Party("B", g, b, kind, bm)
 
     def speak(sender: str, meaning: str, width: int, left: Optional[int]) -> str:
-        bits = ch.send(sender, (alice if sender == "A" else bob).say(meaning, width, left), meaning)
-        if meaning == "set-size":
-            alice.prepare(int(bits, 2))
-            bob.prepare(int(bits, 2))
+        party = alice if sender == "A" else bob
+        if left is not None:
+            # a descend bit: "0" when the left child keeps the speaker's value
+            if party._value(left) == party.target:
+                party.chose, bits = left, "0"
+            else:
+                bits = "1"
+        else:
+            bits = party.say(meaning, width)
+            if meaning == "set-size":
+                alice.prepare(int(bits, 2))
+                bob.prepare(int(bits, 2))
+        entries.append(_entry(len(entries) + 1, sender, bits, meaning))
         return bits
 
     def stand(node: int) -> None:
         # the output must separate the two vectors; below it the speaker
         # keeps its own value by its choice and the other party by the
-        # gate's semantics, so a miss there means the circuit rules are wrong
+        # gate's semantics, so a miss there means the circuit rules are wrong.
+        # A party's value at the left child it has just chosen is known.
+        if (alice.chose == node or alice._value(node)) and (bob.chose == node or not bob._value(node)):
+            return
         for party in (alice, bob):
             value = party._value(node)
             if value == party.target:
@@ -1155,7 +1346,7 @@ def play(
         alice_answer=nonedge,
         bob_answer=nonedge,
         kind_of_answer=classify_answer(g, a, b, nonedge),
-        transcript=ch.transcript,
+        transcript=Transcript(entries),
         promise_verified=promise_verified,
         edge_bound=edge_bound,
         seed=cfg.seed,

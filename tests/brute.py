@@ -2,10 +2,11 @@
 
 Everything here enumerates definitions directly (subsets, disjoint pairs),
 deliberately sharing no code path with the implementations under test.
-The two exceptions are references for a construction or an evaluation
-that the package does differently: ``reference_game_circuit`` (the per-k
-circuit) and ``FullVectorParty`` (the whole-vector node evaluation), which
-say what they share.
+The exceptions are references for a construction or an evaluation that
+the package does differently: ``reference_game_circuit`` (the per-k
+circuit), ``FullVectorParty`` (the whole-vector node evaluation) and
+``reference_ones`` (which slots hold, one prefix row at a time), which say
+what they share.
 """
 
 import contextlib
@@ -191,7 +192,7 @@ def brute_party_vector(g: Graph, idx, kind_name: str, role: str, own) -> tuple:
     if kind_name == "relaxed-clique":
         if not own:
             raise ValueError("relaxed vector requires a nonempty set")
-        gamma = {w for w in range(g.n) if w not in own and all(g.adjacent(w, x) for x in own)}
+        gamma = brute_gamma(g, own)
     return tuple(
         int(not (u in own or v in own or (u in gamma and v in gamma))) for u, v in idx.pairs
     )
@@ -205,6 +206,34 @@ def reference_values(net, k: int, vec) -> dict:
     """
     walk, root = net.walk(k), net.output(k)
     return dict(zip(cone(walk, root), node_values(extract(walk, root, len(vec)), vec)))
+
+
+def holds(role: str, mask: int, gamma: int, bit: int, partners: int) -> int:
+    """A party's value of the AND over the nonedges from ``bit``'s vertex to ``partners``.
+
+    Alice's vector is 1 exactly on the nonedges touching her set ``mask``;
+    Bob's is 0 on those touching his set and on those with both endpoints
+    in ``gamma`` (Γ(b) in the relaxed game, else 0).  The empty AND is 1.
+    """
+    if role == "A":
+        return 1 if mask & bit or not partners & ~mask else 0
+    return 0 if partners and (mask & bit or partners & mask or (gamma & bit and partners & gamma)) else 1
+
+
+def reference_ones(net, role: str, own, gamma=()) -> int:
+    """The slots of ``net`` that hold for a party with set ``own``, as a slot mask.
+
+    One ``holds`` per slot on its prefix row (``net.prefix_rows``): the
+    per-slot rule that the mask algebra of ``games._Party.prepare`` must
+    reproduce.  ``gamma`` is the set of Bob's relaxed-game Γ(b).
+    """
+    rows, mask, gm = net.prefix_rows(), sum(1 << v for v in own), sum(1 << v for v in gamma)
+    return sum(1 << s for s, node in enumerate(net.slot_nodes) if holds(role, mask, gm, *rows[node]))
+
+
+def brute_gamma(g: Graph, own) -> set:
+    """Γ(b): the vertices outside ``own`` adjacent to all of it."""
+    return {w for w in range(g.n) if w not in own and all(g.adjacent(w, x) for x in own)}
 
 
 class FullVectorParty(games._Party):

@@ -66,10 +66,12 @@ from cliquegames.harness import (
 )
 
 from brute import (
+    brute_gamma,
     brute_party_vector,
     brute_separator_value,
     full_vector_parties,
     reference_game_circuit,
+    reference_ones,
     reference_play,
     reference_values,
 )
@@ -602,15 +604,16 @@ class TestGraftSeeds:
         a = frozenset(cliques[0][:3])
         alice = games_module._Party("A", g, a, CLIQUE)
         net = games_module._network(g, "clique")
-        table = net.round(3)
+        columns = net.slot_table().columns
         alice.prepare(3)
-        missed = [j for j in table.groups if not alice.hits >> table.groups[j] & 1]
+        groups = [j for j, graft in enumerate(net.grafts) if len(graft.slots) >= 3]
+        missed = [j for j in groups if not alice.hits >> j & 1]
         assert missed
         j = missed[0]
         for s in a:
-            table.columns[s] |= 1 << table.groups[j]
+            columns[s] |= 1 << j
         alice.prepare(3)
-        assert alice.hits >> table.groups[j] & 1
+        assert alice.hits >> j & 1
         start, end, _ = net.graft_reads(j)
         assert start < end
         with pytest.raises(CircuitInvariantError, match="threshold count"):
@@ -631,7 +634,7 @@ class TestGraftSeeds:
             raise AssertionError("a circuit-only network built a play table")
 
         with monkeypatch.context() as m:
-            for table in ("prefix_rows", "round", "graft_reads"):
+            for table in ("prefix_rows", "slot_table", "round", "graft_reads"):
                 m.setattr(games_module.SeparatorNetwork, table, forbidden)
             m.setattr(games_module, "count_tables", forbidden)
             for suite in ("incidence-separation", "clique-separation", "relaxed-separation"):
@@ -731,6 +734,126 @@ class TestPrefixRows:
                 for v, node in zip(universe, net.slot_nodes):
                     want = {frozenset(p) for p in idx.pairs if v in p}
                     assert named(node) == want, (sorted(g.edges), family, v)
+
+
+# bipartite graphs of the tests: vertex 1 of the first is adjacent to the
+# whole second part (a constant-1 slot); the last two are the CLI's files
+BIPARTITE = (
+    graph_from_edges(5, [(0, 3), (1, 3), (1, 4), (2, 4)], bipartition=({0, 1, 2}, {3, 4})),
+    graph_from_edges(6, [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (2, 3), (2, 5)], bipartition=({0, 1, 2}, {3, 4, 5})),
+    parse_graph("p edge 5 4\nb 3\ne 1 4\ne 2 4\ne 2 5\ne 3 5\n"),
+    parse_graph("p edge 4 3\nb 2\ne 1 3\ne 1 4\ne 2 4\n"),
+)
+
+
+class TestSlotMasks:
+    """``prepare`` works out which slots hold by mask algebra on the
+    network's ``SlotTable``; one ``holds`` per slot on its prefix row
+    (``brute.reference_ones``) must give the same slot mask, for both
+    roles in all four games."""
+
+    @staticmethod
+    def _assert_same_slots(g, sets):
+        checked = 0
+        for kind in ALL_KINDS:
+            if kind.undefined_on(g):
+                continue
+            for role in ("A", "B"):
+                for own in sets:
+                    gamma = ()
+                    if role == "B" and kind == RELAXED_CLIQUE:
+                        if not own:
+                            continue  # Γ of the empty set is not defined
+                        gamma = brute_gamma(g, own)
+                    party = games_module._Party(role, g, own, kind)
+                    party.prepare(1)
+                    want = reference_ones(party.net, role, own, gamma)
+                    assert party.ones == want, (sorted(g.edges), kind.name, role, sorted(own))
+                    checked += 1
+        return checked
+
+    def test_every_set_on_the_catalog(self):
+        for g in catalog_all_graphs(5):
+            sets = [frozenset(c) for r in range(g.n + 1) for c in itertools.combinations(range(g.n), r)]
+            assert self._assert_same_slots(g, sets)
+
+    @pytest.mark.parametrize("g", BIPARTITE, ids=range(len(BIPARTITE)))
+    def test_every_set_on_bipartite_graphs(self, g):
+        sets = [frozenset(c) for r in range(g.n + 1) for c in itertools.combinations(range(g.n), r)]
+        assert self._assert_same_slots(g, sets)
+        assert games_module._network(g, "threshold").slot_table().spread is not None
+
+    def test_constant_slot_holds_for_both_parties(self):
+        g = BIPARTITE[0]
+        net = games_module._network(g, "threshold")
+        table = net.slot_table()
+        assert table.constant == 1 << 1 and table.partners[1] == 0
+        for role, own in (("A", {0}), ("B", {3, 4})):
+            party = games_module._Party(role, g, frozenset(own), BICLIQUE)
+            party.prepare(1)
+            assert party.ones >> 1 & 1, role
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_random_sets_on_random_graphs(self, n):
+        g, _ = strip_stars(random_graph(n, 0.5, random.Random(n)))
+        rng = random.Random(17)
+        sets = [frozenset(rng.sample(range(g.n), rng.randint(0, g.n // 2))) for _ in range(200)]
+        assert self._assert_same_slots(g, sets) == 8 * 200 - sum(not own for own in sets)
+
+
+class TestRoundChecks:
+    """``SeparatorNetwork.round`` reads round k's OR tree gate by gate: a
+    gate that is no OR, a child that is no group, or two children whose
+    runs of groups are not adjacent in group order raises."""
+
+    @staticmethod
+    def _round_with_pairing(monkeypatch, pairing, k=2):
+        g, _ = strip_stars(random_graph(16, 0.5, random.Random(16)))
+        bit_bound(CLIQUE, g)  # builds the network's prefix
+        net = games_module._network(g, "clique")
+        honest = games_module.balanced
+        monkeypatch.setattr(games_module, "balanced", lambda op, nodes: honest(pairing(net, op), nodes))
+        assert sum(len(graft.slots) >= k for graft in net.grafts) >= 4
+        return net, k
+
+    def test_honest_tree_gives_one_run_per_gate(self):
+        g, _ = strip_stars(random_graph(16, 0.5, random.Random(16)))
+        net = games_module._network(g, "clique")
+        table = net.round(2)
+        groups = [j for j, graft in enumerate(net.grafts) if len(graft.slots) >= 2]
+        assert len(table.first) == len(net.walk(2).tree) == len(groups) - 1
+        # the root covers every group of the round
+        assert (table.first[-1], table.last[-1]) == (groups[0], groups[-1])
+
+    @pytest.mark.parametrize("pairing", ["swapped-leaves", "swapped-gates"])
+    def test_children_that_are_not_adjacent_raise(self, monkeypatch, pairing):
+        def swapped_leaves(net, op):
+            # every gate reads its right child first: leaves out of turn
+            return lambda x, y: op(y, x)
+
+        def swapped_gates(net, op):
+            # leaves in turn, but a gate over two gates reads them in reverse
+            return lambda x, y: op(y, x) if x >= net.top and y >= net.top else op(x, y)
+
+        mutate = swapped_leaves if pairing == "swapped-leaves" else swapped_gates
+        net, k = self._round_with_pairing(monkeypatch, mutate)
+        with pytest.raises(CircuitInvariantError, match="OR tree joins groups that are not adjacent"):
+            net.round(k)
+
+    def test_a_child_that_is_no_group_raises(self, monkeypatch):
+        def stray(net, op):
+            # the first gate reads a slot node in place of its first group
+            leaf = net._leaves(2)[1][0]
+            return lambda x, y: op(net.slot_nodes[0] if x == leaf else x, y)
+
+        net, k = self._round_with_pairing(monkeypatch, stray)
+        with pytest.raises(CircuitInvariantError, match="OR tree reads no group"):
+            net.round(k)
+
+    def test_a_round_with_no_group_has_no_or_gate(self, c5):
+        net = games_module._network(c5, "clique")
+        with pytest.raises(CircuitInvariantError, match="OR tree is no OR gate"):
+            net.round(3)
 
 
 class TestInducedCliqueCircuit:
@@ -895,6 +1018,14 @@ class TestPlayBiclique:
             play(BICLIQUE, p4, set(), {0, 1, 2, 3})
         with pytest.raises(PromiseViolationError, match="intersect"):
             play(BICLIQUE, p4, {0, 1}, {1, 2})
+
+    @pytest.mark.parametrize("v", [-1, 4, 2**40, 10**20])
+    def test_vertex_out_of_range_raises(self, p4, v):
+        # checked before the sets become masks, so a huge id costs nothing
+        with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+            play(BICLIQUE, p4, {0, v}, {2})
+        with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+            play(CLIQUE, p4, {0}, {2, v})
 
     def test_separation_failure_when_promise_skipped(self, p4):
         cfg = GameConfig(oracle_limit=0)  # disables promise validation
@@ -1131,7 +1262,23 @@ class TestReplay:
     def test_pair_round_trip(self):
         for n in (2, 5, 8):
             for u, v in itertools.combinations(range(n), 2):
-                assert _decode_pair(_encode_pair((v, u), n), n) == (u, v)
+                assert _decode_pair(_encode_pair((u, v), n), n) == (u, v)
+
+    def test_decode_rejects_larger_vertex_first(self):
+        # the side that sends a pair sends its smaller vertex first
+        for n in (2, 5, 8):
+            for u, v in itertools.combinations(range(n), 2):
+                with pytest.raises(ValueError, match="smaller vertex first"):
+                    _decode_pair(_encode_pair((v, u), n), n)
+
+    def test_replay_rejects_reversed_handshake_pair(self, c5):
+        out = play(CLIQUE, c5, {0, 2}, {4})
+        entries = list(out.transcript.entries)
+        assert entries[1].meaning == "alice-nonedge" and out.nonedge == (0, 2)
+        assert replay_transcript(c5, CLIQUE, entries) == (0, 2)
+        entries[1] = entries[1].__class__(2, "A", _encode_pair((2, 0), 5), "alice-nonedge")
+        with pytest.raises(ValueError, match="smaller vertex first"):
+            replay_transcript(c5, CLIQUE, entries)
 
     def test_decode_rejects_wrong_width(self):
         with pytest.raises(ValueError, match="binary digits"):

@@ -1,32 +1,51 @@
 """Plays of two checkouts timed in one process: a parent and a change.
 
-    python3 tools/ab.py --parent <dir> --change <dir> [--rounds 24]
+    python3 tools/ab.py --parent <dir> --change <dir> [--rounds N]
+                        [--workload catalog|big-graphs] [--seed 62000]
 
 Imports each checkout's ``src/cliquegames`` under a module name of its own,
-so both live in one process and share its state of the machine.  The plays
-are those of the n <= 5 catalog (``catalog_all_graphs(5)``) on every
-``STRIDE``-th graph, for all four games, refereed as the game suites of
-``verify`` referee them: per game and graph one ``bit_bound``, then per
-valid input ``play``, ``legal_answer`` and ``replay_transcript``.  Valid
-inputs are listed before any timing.  Each round times the same plays on
-both sides, the side that goes first alternating (the parent first in even
-rounds).  Prints each side's plays/s over all rounds and the quartiles of
-the per-round ratio of the change's plays/s over the parent's, with
-``statistics.quantiles(n=4, method="inclusive")``.  A play that raises, or
-an answer one side refutes, stops the script.  Standard library only.
+so both live in one process and share its state of the machine.  Prints
+each side's plays/s over all rounds and the quartiles of the per-round
+ratio of the change's plays/s over the parent's, with
+``statistics.quantiles(n=4, method="inclusive")``.  Standard library only.
+
+``--workload catalog`` (the default, 24 rounds) plays the n <= 5 catalog
+(``catalog_all_graphs(5)``) on every ``STRIDE``-th graph, for all four
+games, refereed as the game suites of ``verify`` referee them: per game and
+graph one ``bit_bound``, then per valid input ``play``, ``legal_answer``
+and ``replay_transcript``.  Valid inputs are listed before any timing.
+Each round times the same plays on both sides, the side that goes first
+alternating (the parent first in even rounds).  A play that raises, or an
+answer one side refutes, stops the script.
+
+``--workload big-graphs`` (default 4 rounds) runs ``bench/gen.py
+big-graphs <seed> <tmpdir>`` from the change checkout and plays its warm
+loop as ``bench/worker.py`` plays it: per graph and family one
+``bit_bound`` and one warm-up play on each side, untimed, then per round
+the manifest's rounds of one input per size class on every graph and
+family, interleaved.  Every play runs on both sides, the side that goes
+first alternating from play to play, and the two must agree on the nonedge
+and on every transcript entry.  Besides the overall ratio it prints each
+(graph, family) job's plays/s ratio over all rounds.  The first round pays
+each round table's first request inside the timing, as a benchmark pass
+does; later rounds find them built.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
 import os
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 
 GAMES = ("biclique", "clique", "relaxed-clique", "edge-biclique")
 STRIDE = 20  # every 20th catalog graph: about a second of plays per side and round
+SIDES = ("parent", "change")
 
 
 def load(root: str, name: str):
@@ -72,23 +91,24 @@ def run(cg, work: list) -> tuple[int, float]:
     return plays, time.perf_counter() - t0
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", required=True, help="root of the parent checkout")
-    ap.add_argument("--change", required=True, help="root of the change checkout")
-    ap.add_argument("--rounds", type=int, default=24)
-    args = ap.parse_args(argv)
-    if args.rounds < 2:
-        ap.error("--rounds must be at least 2")
-    sides = {"parent": load(args.parent, "cliquegames_parent"), "change": load(args.change, "cliquegames_change")}
+def report(plays: int, spent: dict, ratios: list[float]) -> None:
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    print(f"parent: {plays / spent['parent']:.0f} plays/s")
+    print(f"change: {plays / spent['change']:.0f} plays/s")
+    print(f"change/parent overall: {spent['parent'] / spent['change']:.3f}")
+    print(f"change/parent per round: median {median:.3f}, quartiles {q1:.3f}-{q3:.3f}, "
+          f"{sum(x > 1 for x in ratios)}/{len(ratios)} rounds above 1")
+
+
+def catalog(sides: dict, rounds: int) -> None:
     work = {side: workload(cg) for side, cg in sides.items()}
     counts = {side: sum(len(inputs) for _, _, inputs in w) for side, w in work.items()}
     if counts["parent"] != counts["change"]:
         raise SystemExit(f"the two sides list different valid inputs: {counts}")
     spent = {"parent": 0.0, "change": 0.0}
     ratios = []
-    for r in range(args.rounds):
-        order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
+    for r in range(rounds):
+        order = SIDES if r % 2 == 0 else SIDES[::-1]
         rate = {}
         for side in order:
             plays, seconds = run(sides[side], work[side])
@@ -97,13 +117,88 @@ def main(argv: list[str] | None = None) -> int:
         ratios.append(rate["change"] / rate["parent"])
         print(f"round {r} {order[0]} first: parent {rate['parent']:.0f}/s change {rate['change']:.0f}/s "
               f"ratio {ratios[-1]:.3f}", file=sys.stderr)
-    plays = counts["parent"] * args.rounds
-    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-    print(f"plays per side: {plays} ({counts['parent']} per round, {args.rounds} rounds)")
-    print(f"parent: {plays / spent['parent']:.0f} plays/s")
-    print(f"change: {plays / spent['change']:.0f} plays/s")
-    print(f"change/parent per round: median {median:.3f}, quartiles {q1:.3f}-{q3:.3f}, "
-          f"{sum(x > 1 for x in ratios)}/{len(ratios)} rounds above 1")
+    plays = counts["parent"] * rounds
+    print(f"plays per side: {plays} ({counts['parent']} per round, {rounds} rounds)")
+    report(plays, spent, ratios)
+
+
+def _entries(outcome) -> list[tuple]:
+    return [(e.round, e.sender, e.bits, e.meaning) for e in outcome.transcript.entries]
+
+
+def big_graphs(sides: dict, change_root: str, seed: int, rounds: int) -> None:
+    with tempfile.TemporaryDirectory() as inputs:
+        gen = [sys.executable, "bench/gen.py", "big-graphs", str(seed), inputs]
+        subprocess.run(gen, cwd=change_root, check=True)
+        with open(os.path.join(inputs, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        texts = {}
+        for entry in manifest["graphs"]:
+            with open(os.path.join(inputs, entry["file"])) as fh:
+                texts[entry["file"]] = fh.read()
+    jobs = [(entry, family) for entry in manifest["graphs"] for family in entry["inputs"]]
+    state = {}  # per side: per job, (kind, graph)
+    for side, cg in sides.items():
+        graphs = {name: cg.strip_stars(cg.parse_graph(text))[0] for name, text in texts.items()}
+        kinds = {"biclique": cg.BICLIQUE, "clique": cg.CLIQUE}
+        state[side] = {}
+        for entry, family in jobs:
+            g, kind = graphs[entry["file"]], kinds[family]
+            cg.bit_bound(kind, g, cg.GameConfig())
+            a, b = entry["inputs"][family][1]
+            cg.play(kind, g, a, b, cg.GameConfig())  # warm-up, as bench/worker.py plays one
+            state[side][entry["file"], family] = kind, g
+    classes, played = manifest["round_classes"], 0
+    job_s = {(entry["file"], family): {side: 0.0 for side in SIDES} for entry, family in jobs}
+    spent = {side: 0.0 for side in SIDES}
+    ratios = []
+    for r in range(rounds):
+        round_s = {side: 0.0 for side in SIDES}
+        for warm in range(manifest["rounds"]):
+            for c in range(classes):
+                for entry, family in jobs:
+                    a, b = entry["inputs"][family][2 + warm * classes + c]
+                    key = entry["file"], family
+                    outcomes = {}
+                    for side in SIDES if played % 2 == 0 else SIDES[::-1]:
+                        cg, (kind, g) = sides[side], state[side][key]
+                        cfg = cg.GameConfig()
+                        t0 = time.perf_counter()
+                        outcomes[side] = cg.play(kind, g, a, b, cfg)
+                        dt = time.perf_counter() - t0
+                        round_s[side] += dt
+                        job_s[key][side] += dt
+                    played += 1
+                    parent, change = outcomes["parent"], outcomes["change"]
+                    if parent.nonedge != change.nonedge or _entries(parent) != _entries(change):
+                        raise SystemExit(f"the two sides disagree on {key} a={a} b={b}")
+        for side in SIDES:
+            spent[side] += round_s[side]
+        ratios.append(round_s["parent"] / round_s["change"])
+        print(f"round {r}: parent {round_s['parent']:.3f} s change {round_s['change']:.3f} s "
+              f"ratio {ratios[-1]:.3f}", file=sys.stderr)
+    print(f"plays per side: {played} ({played // rounds} per round, {rounds} rounds, seed {seed})")
+    for (name, family), s in job_s.items():
+        print(f"  {name} {family}: change/parent {s['parent'] / s['change']:.3f}")
+    report(played, spent, ratios)
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="root of the parent checkout")
+    ap.add_argument("--change", required=True, help="root of the change checkout")
+    ap.add_argument("--workload", choices=("catalog", "big-graphs"), default="catalog")
+    ap.add_argument("--rounds", type=int, help="rounds (default 24 for catalog, 4 for big-graphs)")
+    ap.add_argument("--seed", type=int, default=62000, help="big-graphs input seed")
+    args = ap.parse_args(argv)
+    rounds = args.rounds if args.rounds is not None else (24 if args.workload == "catalog" else 4)
+    if rounds < 2:
+        ap.error("--rounds must be at least 2")
+    sides = {"parent": load(args.parent, "cliquegames_parent"), "change": load(args.change, "cliquegames_change")}
+    if args.workload == "catalog":
+        catalog(sides, rounds)
+    else:
+        big_graphs(sides, args.change, args.seed, rounds)
     return 0
 
 
