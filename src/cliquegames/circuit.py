@@ -116,22 +116,30 @@ def evaluate(c: Circuit, x: Bits) -> int:
 
 
 def evaluate_many(c: Circuit, xs: Sequence[Bits]) -> list[int]:
-    """Evaluate on many assignments at once, one column per assignment.
+    """Evaluate on many assignments at once, one byte lane per assignment.
 
-    Columns are packed into Python bigints so a single pass over the gate
-    array evaluates every assignment in parallel.
+    Assignment j is byte j of every node's value, a Python bigint, so a
+    single pass over the gate array evaluates every assignment in parallel:
+    AND and OR act on each byte alone, and a lane only ever holds 0 or 1.
+    Every entry must be 0, 1 or a bool; any other entry raises
+    ``ValueError``, as does an assignment whose length is not
+    ``c.var_count``.
     """
     cols = len(xs)
-    var_masks = [0] * c.var_count
-    for j, x in enumerate(xs):
-        if len(x) != c.var_count:
-            raise ValueError(f"assignment {j} has length {len(x)} != {c.var_count}")
-        bit = 1 << j
-        for i, b in enumerate(x):
-            if b:
-                var_masks[i] |= bit
-    out = _eval_masks(c, var_masks, (1 << cols) - 1)[c.output]
-    return [out >> j & 1 for j in range(cols)]
+    if cols and set(map(len, xs)) != {c.var_count}:
+        j = next(j for j, x in enumerate(xs) if len(x) != c.var_count)
+        raise ValueError(f"assignment {j} has length {len(xs[j])} != {c.var_count}")
+    try:
+        # zip(*xs) yields no column at all when there is no assignment
+        columns = list(map(bytes, zip(*xs))) if cols else [b""] * c.var_count
+        stray = b"".join(columns).translate(None, b"\x00\x01")
+    except (TypeError, ValueError):  # an entry outside 0..255, or no integer
+        stray = True
+    if stray:
+        raise ValueError("assignment entries must be 0 or 1")
+    var_masks = [int.from_bytes(col, "little") for col in columns]
+    out = _eval_masks(c, var_masks, int.from_bytes(b"\x01" * cols, "little"))[c.output]
+    return list(out.to_bytes(cols, "little"))
 
 
 def _eval_masks(c: Circuit, var_masks: Sequence[int], ones: int) -> list[int]:

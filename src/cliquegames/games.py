@@ -155,13 +155,13 @@ class GameConfig:
 def incidence_vector(idx: NonedgeIndex, s: Iterable[int]) -> tuple[int, ...]:
     """Bit per nonedge: 1 exactly on nonedges with an endpoint in ``s``."""
     m = _mask(s)
-    return tuple(1 if (m >> u & 1) or (m >> v & 1) else 0 for u, v in idx.pairs)
+    return tuple([1 if (m >> u & 1) or (m >> v & 1) else 0 for u, v in idx.pairs])
 
 
 def non_incidence_vector(idx: NonedgeIndex, s: Iterable[int]) -> tuple[int, ...]:
     """Complement of ``incidence_vector``: 0 exactly on nonedges touching ``s``."""
     m = _mask(s)
-    return tuple(0 if (m >> u & 1) or (m >> v & 1) else 1 for u, v in idx.pairs)
+    return tuple([0 if (m >> u & 1) or (m >> v & 1) else 1 for u, v in idx.pairs])
 
 
 def relaxed_non_incidence_vector(

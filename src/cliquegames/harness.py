@@ -263,6 +263,8 @@ def _check_circuit_on(
         return
     got = evaluate_many(circ, [vector for _, vector in cases])
     report.inputs_tested += len(cases)
+    if got.count(expected) == len(got):
+        return
     for value, (subset, _) in zip(got, cases):
         if value != expected:
             report.failures.append(
@@ -287,41 +289,54 @@ def _all_cliques(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
-def contains_k_clique(g: Graph, members: Iterable[int], k: int) -> bool:
-    """Brute-force reference: does the vertex set contain a k-clique of g?"""
-    members = sorted(members)
-    if k > len(members):
-        return False
-    return any(g.is_clique(c) for c in itertools.combinations(members, k))
+def _clique_numbers(g: Graph) -> list[int]:
+    """Exact reference: the clique number of the subgraph induced by every vertex mask.
+
+    Entry S is ω(S) = max(ω(S ∖ {v}), 1 + ω(S ∩ N(v))) with v the lowest
+    vertex of S, since a largest clique of S either leaves v out or is v
+    with a clique of v's neighbors in S.  Both masks are below S, so one
+    pass in mask order fills the table from ``g.adj`` alone.
+    """
+    adj = g.adj
+    omega = [0] * (1 << g.n)
+    for s in range(1, 1 << g.n):
+        low = s & -s
+        rest = s ^ low
+        without = omega[rest]
+        with_v = 1 + omega[rest & adj[low.bit_length() - 1]]
+        omega[s] = with_v if with_v > without else without
+    return omega
 
 
 def _suite_induced_clique(g: Graph, cfg: GameConfig, report: SuiteReport) -> None:
-    """The induced-clique circuit matches the brute-force predicate on every
-    input, and its depth stays within the OR-fanin + threshold budget."""
+    """The induced-clique circuit matches the exact clique-number table on
+    every input, and its depth stays within the OR-fanin + threshold budget
+    of the maximal cliques its round joins."""
     mc = maximal_cliques(g)
-    inputs = [tuple(m >> v & 1 for v in range(g.n)) for m in range(1 << g.n)]
-    members = [[v for v in range(g.n) if m >> v & 1] for m in range(1 << g.n)]
+    omega = _clique_numbers(g)
+    inputs = [tuple([m >> v & 1 for v in range(g.n)]) for m in range(1 << g.n)]
     for k in range(1, g.n + 1):
         circ = induced_clique_circuit(g, k)
         got = evaluate_many(circ, inputs)
         report.inputs_tested += len(inputs)
-        for m, value in enumerate(got):
-            want = 1 if contains_k_clique(g, members[m], k) else 0
-            if value != want:
-                report.failures.append(
-                    {
-                        "graph": _graph_repr(g),
-                        "k": k,
-                        "side": "truth-table",
-                        "set": members[m],
-                        "expected": want,
-                        "got": value,
-                    }
-                )
+        want = [1 if w >= k else 0 for w in omega]
+        if got != want:
+            for m, value in enumerate(got):
+                if value != want[m]:
+                    report.failures.append(
+                        {
+                            "graph": _graph_repr(g),
+                            "k": k,
+                            "side": "truth-table",
+                            "set": [v for v in range(g.n) if m >> v & 1],
+                            "expected": want[m],
+                            "got": value,
+                        }
+                    )
         qualifying = [c for c in mc if len(c) >= k]
         depth_cap = 0
         if qualifying:
-            depth_cap = math.ceil(math.log2(len(mc))) + max(
+            depth_cap = math.ceil(math.log2(len(qualifying))) + max(
                 build_threshold_sort(len(c), k).depth for c in qualifying
             )
         if circ.depth > depth_cap:
@@ -367,6 +382,14 @@ def _referee_play(
         )
 
 
+def _by_size(n: int, cases: list) -> list[list]:
+    """(set, vector) cases in lists by set size, 0..n, each in the given order."""
+    out: list[list] = [[] for _ in range(n + 1)]
+    for case in cases:
+        out[len(case[0])].append(case)
+    return out
+
+
 def _make_separation_suite(kind: GameKind):
     def run(g: Graph, cfg: GameConfig, report: SuiteReport) -> None:
         idx = nonedges(g)
@@ -384,14 +407,15 @@ def _make_separation_suite(kind: GameKind):
             bob_vector = partial(relaxed_non_incidence_vector, g)
         else:
             bob_vector = non_incidence_vector
-        # each set's vector once per graph; a Bob set too small for every k gets none
-        alice = [(s, incidence_vector(idx, s)) for s in alice_sets if s]
-        bob = [(s, bob_vector(idx, s)) for s in bob_sets if promise_size(kind, slots, len(s)) > bound]
+        # each set's vector once per graph, bucketed by set size; a Bob set
+        # too small for every k gets none.  The sets come in size order, so
+        # reading the buckets in size order keeps it.
+        alice = _by_size(g.n, [(s, incidence_vector(idx, s)) for s in alice_sets if s])
+        bob = _by_size(g.n, [(s, bob_vector(idx, s)) for s in bob_sets if promise_size(kind, slots, len(s)) > bound])
         for k in range(1, slots + 1):
             circ = game_circuit(g, idx, kind, k, cfg)
-            accepts = [c for c in alice if len(c[0]) == k]
-            rejects = [c for c in bob if promise_size(kind, k, len(c[0])) > bound]
-            _check_circuit_on(report, g, k, circ, accepts, 1, "accepts")
+            rejects = [c for size, cases in enumerate(bob) if promise_size(kind, k, size) > bound for c in cases]
+            _check_circuit_on(report, g, k, circ, alice[k], 1, "accepts")
             _check_circuit_on(report, g, k, circ, rejects, 0, "rejects")
 
     run.__doc__ = (

@@ -65,6 +65,63 @@ class TestEvaluate:
         assert evaluate_many(c, xs) == [evaluate(c, x) for x in xs]
 
 
+def _random_circuit(rng, var_count, gates=40):
+    """A random circuit over ``var_count`` variables: both constants, both ops, nothing folded."""
+    b = CircuitBuilder(var_count)
+    nodes = [b.var(i) for i in range(var_count)] + [b.const(0), b.const(1)]
+    for _ in range(gates):
+        nodes.append(b._append((rng.choice((AND, OR)), rng.choice(nodes), rng.choice(nodes))))
+    return b.snapshot(nodes[-1])
+
+
+class TestEvaluateManyLanes:
+    """``evaluate_many`` keeps one byte lane per assignment; it must agree with ``evaluate``."""
+
+    @pytest.mark.parametrize("cols", [0, 1, 7, 8, 9, 64, 255, 256, 257])
+    def test_matches_single_on_random_circuits(self, cols):
+        rng = random.Random(cols)
+        for var_count in (1, 5, 13):
+            c = _random_circuit(rng, var_count)
+            xs = [tuple(rng.randrange(2) for _ in range(var_count)) for _ in range(cols)]
+            want = [evaluate(c, x) for x in xs]
+            assert evaluate_many(c, xs) == want
+            assert evaluate_many(c, [tuple(bool(b) for b in x) for x in xs]) == want
+            assert evaluate_many(c, [list(x) for x in xs]) == want
+
+    @pytest.mark.parametrize("cols", [0, 1, 9, 257])
+    def test_no_variables(self, cols):
+        for bit in (0, 1):
+            b = CircuitBuilder(0)
+            c = b.build(b.const(bit))
+            assert c.var_count == 0
+            assert evaluate_many(c, [()] * cols) == [bit] * cols
+
+    def test_length_mismatch_message(self):
+        with pytest.raises(ValueError, match=r"^assignment 1 has length 3 != 2$"):
+            evaluate_many(_and2(), [(1, 0), (1, 0, 1)])
+
+    @pytest.mark.parametrize("entry", [2, -1, 256, 0.5, None])
+    def test_entries_other_than_0_and_1_raise(self, entry):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            evaluate_many(_and2(), [(1, 0), (entry, 1)])
+
+    def test_verify_threshold_still_rejects_a_broken_circuit(self):
+        # 462 boundary vectors, so more lanes than 256
+        c = build_threshold_sort(10, 5)
+        assert verify_threshold(c, 10, 5)
+        rejected = 0
+        for i, gate in enumerate(c.gates):
+            if gate[0] != AND:
+                continue
+            gates = list(c.gates)
+            gates[i] = (OR,) + gate[1:]
+            broken = Circuit(tuple(gates), c.output, c.var_count)
+            exact = truth_table(broken) == threshold_truth_table(10, 5)
+            assert verify_threshold(broken, 10, 5) == exact, i
+            rejected += not exact
+        assert rejected
+
+
 class TestBuilder:
     @pytest.mark.parametrize("leaves,depth", [(1, 0), (2, 1), (4, 2), (5, 3), (8, 3)])
     def test_tree_depths(self, leaves, depth):

@@ -1,8 +1,13 @@
 import dataclasses
+import itertools
 import json
+import random
 
 import pytest
 
+from brute import brute_contains_k_clique
+from cliquegames import harness
+from cliquegames.circuit import AND, CONST, Circuit
 from cliquegames.games import (
     BICLIQUE,
     CLIQUE,
@@ -11,8 +16,10 @@ from cliquegames.games import (
     GameConfig,
     legal_answer,
     play,
+    promise_bound,
+    promise_size,
 )
-from cliquegames.graph import OracleLimitError, graph_from_edges
+from cliquegames.graph import OracleLimitError, graph_from_edges, nonedges
 from cliquegames.harness import (
     SUITE_NAMES,
     SuiteReport,
@@ -24,6 +31,7 @@ from cliquegames.harness import (
     cycle_graph,
     enumerate_valid_inputs,
     path_graph,
+    random_graph,
     run_suite,
     worst_case_bits,
 )
@@ -144,6 +152,112 @@ class TestSuites:
         # invariant failures == [] <=> passed holds
         report = run_suite("game-clique", [cycle_graph(5)])
         assert report.passed == (not report.failures)
+
+
+def _members(m):
+    return [v for v in range(m.bit_length()) if m >> v & 1]
+
+
+def _constant(g, bit):
+    return Circuit(((CONST, bit),), 0, len(nonedges(g).pairs))
+
+
+class TestCliqueNumbers:
+    """The induced-clique suite's reference table against brute force."""
+
+    @pytest.mark.parametrize(
+        "graphs",
+        [
+            pytest.param(lambda: catalog_all_graphs(5), id="catalog-n5"),
+            pytest.param(lambda: [random_graph(n, 0.5, random.Random(s)) for n in (7, 8) for s in range(3)], id="gnp-7-8"),
+        ],
+    )
+    def test_table_matches_brute_force(self, graphs):
+        for g in graphs():
+            omega = harness._clique_numbers(g)
+            assert len(omega) == 1 << g.n
+            for m, w in enumerate(omega):
+                members = _members(m)
+                for k in range(1, g.n + 1):
+                    assert (w >= k) == brute_contains_k_clique(g, members, k), (sorted(g.edges), m, k)
+
+    def test_a_wrong_round_is_recorded_row_by_row(self, monkeypatch):
+        # round k asks for round k + 1's circuit, which misses every set whose
+        # largest clique has exactly k vertices
+        original = harness.induced_clique_circuit
+
+        def next_round(g, k):
+            return original(g, k + 1) if k < g.n else Circuit(((CONST, 0),), 0, g.n)
+
+        monkeypatch.setattr(harness, "induced_clique_circuit", next_round)
+        graphs = [cycle_graph(5), path_graph(4), graph_from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])]
+        report = run_suite("induced-clique", graphs)
+        want = []
+        for g in graphs:
+            for k in range(1, g.n + 1):
+                for m in range(1 << g.n):
+                    members = _members(m)
+                    if brute_contains_k_clique(g, members, k) and not brute_contains_k_clique(g, members, k + 1):
+                        want.append(
+                            {
+                                "graph": {"n": g.n, "edges": sorted(g.edges)},
+                                "k": k,
+                                "side": "truth-table",
+                                "set": members,
+                                "expected": 1,
+                                "got": 0,
+                            }
+                        )
+        assert want
+        assert [f for f in report.failures if f["side"] == "truth-table"] == want
+        assert report.inputs_tested == sum(g.n << g.n for g in graphs)
+
+    def test_depth_cap_counts_only_the_cliques_round_k_joins(self, monkeypatch):
+        # a triangle with a pendant edge: round 3 joins one of the two maximal
+        # cliques, so its cap has no OR level, and one gate more is recorded
+        original = harness.induced_clique_circuit
+        g = graph_from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        cap = original(g, 3).depth
+
+        def deeper(g, k):
+            c = original(g, k)
+            if k != 3:
+                return c
+            return Circuit(c.gates + ((AND, c.output, c.output),), len(c.gates), c.var_count)
+
+        monkeypatch.setattr(harness, "induced_clique_circuit", deeper)
+        report = run_suite("induced-clique", [g])
+        assert report.failures == [
+            {"graph": {"n": 4, "edges": sorted(g.edges)}, "k": 3, "side": "depth", "expected": cap, "got": cap + 1}
+        ]
+
+    def test_a_separation_round_that_misses_is_recorded_case_by_case(self, monkeypatch):
+        # round 2 rejects everything and round 3 accepts everything: every
+        # Alice set of 2 and every Bob set that meets the promise with 3 is
+        # recorded, in the order the suite lists the sets
+        original = harness.game_circuit
+
+        def broken(g, idx, kind, k, cfg):
+            return _constant(g, {2: 0, 3: 1}[k]) if k in (2, 3) else original(g, idx, kind, k, cfg)
+
+        g = cycle_graph(5)
+        healthy = run_suite("incidence-separation", [g])
+        monkeypatch.setattr(harness, "game_circuit", broken)
+        report = run_suite("incidence-separation", [g])
+        bound = promise_bound(BICLIQUE, g)
+        subsets = [c for r in range(1, g.n + 1) for c in itertools.combinations(range(g.n), r)]
+        graph = {"n": g.n, "edges": sorted(g.edges)}
+        want = [
+            {"graph": graph, "k": 2, "side": "accepts", "set": list(s), "expected": 1, "got": 0}
+            for s in subsets
+            if len(s) == 2
+        ] + [
+            {"graph": graph, "k": 3, "side": "rejects", "set": list(s), "expected": 0, "got": 1}
+            for s in subsets
+            if promise_size(BICLIQUE, 3, len(s)) > bound
+        ]
+        assert report.failures == want
+        assert healthy.passed and healthy.inputs_tested == report.inputs_tested
 
 
 class TestWorstCaseBits:

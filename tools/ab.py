@@ -1,7 +1,7 @@
-"""Plays of two checkouts timed in one process: a parent and a change.
+"""Plays and separator suites of two checkouts timed in one process: a parent and a change.
 
     python3 tools/ab.py --parent <dir> --change <dir> [--rounds N]
-                        [--workload catalog|big-graphs] [--seed 62000]
+                        [--workload catalog|big-graphs|separate-n6] [--seed 62000]
 
 Imports each checkout's ``src/cliquegames`` under a module name of its own,
 so both live in one process and share its state of the machine.  Prints
@@ -44,8 +44,10 @@ import tempfile
 import time
 
 GAMES = ("biclique", "clique", "relaxed-clique", "edge-biclique")
+SEPARATOR_SUITES = ("incidence-separation", "clique-separation", "relaxed-separation", "induced-clique")
 STRIDE = 20  # every 20th catalog graph: about a second of plays per side and round
 SIDES = ("parent", "change")
+ROUNDS = {"catalog": 24, "big-graphs": 4, "separate-n6": 6}  # default rounds per workload
 
 
 def load(root: str, name: str):
@@ -91,10 +93,10 @@ def run(cg, work: list) -> tuple[int, float]:
     return plays, time.perf_counter() - t0
 
 
-def report(plays: int, spent: dict, ratios: list[float]) -> None:
+def report(plays: int, spent: dict, ratios: list[float], unit: str = "plays") -> None:
     q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-    print(f"parent: {plays / spent['parent']:.0f} plays/s")
-    print(f"change: {plays / spent['change']:.0f} plays/s")
+    print(f"parent: {plays / spent['parent']:.0f} {unit}/s")
+    print(f"change: {plays / spent['change']:.0f} {unit}/s")
     print(f"change/parent overall: {spent['parent'] / spent['change']:.3f}")
     print(f"change/parent per round: median {median:.3f}, quartiles {q1:.3f}-{q3:.3f}, "
           f"{sum(x > 1 for x in ratios)}/{len(ratios)} rounds above 1")
@@ -126,16 +128,20 @@ def _entries(outcome) -> list[tuple]:
     return [(e.round, e.sender, e.bits, e.meaning) for e in outcome.transcript.entries]
 
 
-def big_graphs(sides: dict, change_root: str, seed: int, rounds: int) -> None:
+def generate(change_root: str, workload: str, seed: int) -> tuple[dict, dict]:
+    """``bench/gen.py``'s manifest for the workload and seed, and the text of its other files by name."""
     with tempfile.TemporaryDirectory() as inputs:
-        gen = [sys.executable, "bench/gen.py", "big-graphs", str(seed), inputs]
+        gen = [sys.executable, "bench/gen.py", workload, str(seed), inputs]
         subprocess.run(gen, cwd=change_root, check=True)
-        with open(os.path.join(inputs, "manifest.json")) as fh:
-            manifest = json.load(fh)
         texts = {}
-        for entry in manifest["graphs"]:
-            with open(os.path.join(inputs, entry["file"])) as fh:
-                texts[entry["file"]] = fh.read()
+        for name in os.listdir(inputs):
+            with open(os.path.join(inputs, name)) as fh:
+                texts[name] = fh.read()
+    return json.loads(texts.pop("manifest.json")), texts
+
+
+def big_graphs(sides: dict, change_root: str, seed: int, rounds: int) -> None:
+    manifest, texts = generate(change_root, "big-graphs", seed)
     jobs = [(entry, family) for entry in manifest["graphs"] for family in entry["inputs"]]
     state = {}  # per side: per job, (kind, graph)
     for side, cg in sides.items():
@@ -183,22 +189,59 @@ def big_graphs(sides: dict, change_root: str, seed: int, rounds: int) -> None:
     report(played, spent, ratios)
 
 
+def separate(sides: dict, change_root: str, seed: int, rounds: int) -> None:
+    manifest, _ = generate(change_root, "separate-n6", seed)
+    graphs = {side: [cg.strip_stars(cg.parse_graph(text))[0] for text in manifest["graphs"]]
+              for side, cg in sides.items()}
+    expected = manifest["expected"]
+    suite_s = {name: {side: 0.0 for side in SIDES} for name in SEPARATOR_SUITES}
+    ratios = []
+    for r in range(rounds):
+        order = SIDES if r % 2 == 0 else SIDES[::-1]
+        reports = {}
+        for side in order:
+            cg, cfg = sides[side], sides[side].GameConfig()
+            reports[side] = [cg.run_suite(name, graphs[side], cfg) for name in SEPARATOR_SUITES]
+        objs = {}
+        for side, reps in reports.items():
+            objs[side] = [{**rep.to_json_obj(), "wall_time": None} for rep in reps]
+            for rep in reps:
+                suite_s[rep.suite][side] += rep.wall_time
+                if not rep.passed or rep.inputs_tested != expected[rep.suite]:
+                    raise SystemExit(f"{side}: suite {rep.suite} failed or tested "
+                                     f"{rep.inputs_tested} vectors, expected {expected[rep.suite]}")
+        if objs["parent"] != objs["change"]:
+            raise SystemExit(f"the two sides' reports differ in round {r}")
+        spent = {side: sum(rep.wall_time for rep in reports[side]) for side in SIDES}
+        ratios.append(spent["parent"] / spent["change"])
+        print(f"round {r} {order[0]} first: parent {spent['parent']:.3f} s change {spent['change']:.3f} s "
+              f"ratio {ratios[-1]:.3f}", file=sys.stderr)
+    vectors = sum(expected[name] for name in SEPARATOR_SUITES) * rounds
+    print(f"vectors per side: {vectors} ({vectors // rounds} per round, {rounds} rounds, seed {seed})")
+    for name, s in suite_s.items():
+        print(f"  {name}: change/parent {s['parent'] / s['change']:.3f}")
+    spent = {side: sum(s[side] for s in suite_s.values()) for side in SIDES}
+    report(vectors, spent, ratios, "vectors")
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="root of the parent checkout")
     ap.add_argument("--change", required=True, help="root of the change checkout")
-    ap.add_argument("--workload", choices=("catalog", "big-graphs"), default="catalog")
-    ap.add_argument("--rounds", type=int, help="rounds (default 24 for catalog, 4 for big-graphs)")
-    ap.add_argument("--seed", type=int, default=62000, help="big-graphs input seed")
+    ap.add_argument("--workload", choices=tuple(ROUNDS), default="catalog")
+    ap.add_argument("--rounds", type=int, help="rounds (default 24 for catalog, 4 for big-graphs, 6 for separate-n6)")
+    ap.add_argument("--seed", type=int, default=62000, help="input seed of big-graphs and separate-n6")
     args = ap.parse_args(argv)
-    rounds = args.rounds if args.rounds is not None else (24 if args.workload == "catalog" else 4)
+    rounds = args.rounds if args.rounds is not None else ROUNDS[args.workload]
     if rounds < 2:
         ap.error("--rounds must be at least 2")
     sides = {"parent": load(args.parent, "cliquegames_parent"), "change": load(args.change, "cliquegames_change")}
     if args.workload == "catalog":
         catalog(sides, rounds)
-    else:
+    elif args.workload == "big-graphs":
         big_graphs(sides, args.change, args.seed, rounds)
+    else:
+        separate(sides, args.change, args.seed, rounds)
     return 0
 
 
