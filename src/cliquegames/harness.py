@@ -3,6 +3,11 @@
 Suites evaluate the separator-circuit guarantees and referee full protocol
 runs over small graph catalogs.  Failures are data, not exceptions: each one
 carries enough to reproduce (edge list, k, the sets, the seed).
+
+The separator suites evaluate byte-lane columns built from set masks, one
+lane per case, with ``circuit._eval_masks``; ``evaluate_many`` and the
+vector makers of ``games`` stay the public batch API and the references
+the lanes are tested against.
 """
 
 from __future__ import annotations
@@ -13,10 +18,9 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .circuit import build_threshold_sort, evaluate_many
+from .circuit import _eval_masks, build_threshold_sort
 from .games import (
     BICLIQUE,
     CLIQUE,
@@ -24,17 +28,15 @@ from .games import (
     RELAXED_CLIQUE,
     GameConfig,
     GameKind,
+    _gamma_mask,
     _game_network,
     bit_bound,
     game_circuit,
-    incidence_vector,
     induced_clique_circuit,
     legal_answer,
-    non_incidence_vector,
     play,
     promise_bound,
     promise_size,
-    relaxed_non_incidence_vector,
     replay_transcript,
 )
 from .graph import (
@@ -255,18 +257,60 @@ def _graph_repr(g: Graph) -> dict:
 # separator-circuit suites
 
 
+# entry m of table b is bit b of the byte m
+_BIT_TABLES = [bytes([m >> b & 1 for m in range(256)]) for b in range(8)]
+
+
+def _lanes(masks: Sequence[int], n: int) -> list[int]:
+    """One byte-lane column per vertex: byte j of column v is bit v of ``masks[j]``.
+
+    Each byte of the masks is one ``bytes`` over the cases, and
+    ``translate`` picks a bit out of every case of it at once.
+    """
+    chunks = [bytes([m >> i & 255 for m in masks]) for i in range(0, n, 8)]
+    return [int.from_bytes(chunks[v >> 3].translate(_BIT_TABLES[v & 7]), "little") for v in range(n)]
+
+
+def _case_columns(g: Graph, pairs: Sequence, masks: Sequence[int], side: str) -> tuple[list[int], int]:
+    """Each nonedge's column over the cases, and the all-ones lane mask.
+
+    Lane j of nonedge (u, v) is that entry of case j's vector: the
+    ``incidence_vector`` of set ``masks[j]`` on side "alice", its
+    ``non_incidence_vector`` on "bob", or its ``relaxed_non_incidence_vector``
+    on "relaxed".
+    """
+    ones = int.from_bytes(b"\x01" * len(masks), "little")
+    lanes = _lanes(masks, g.n)
+    if side == "alice":
+        return [lanes[u] | lanes[v] for u, v in pairs], ones
+    if side == "bob":
+        return [ones ^ (lanes[u] | lanes[v]) for u, v in pairs], ones
+    gamma = _lanes([_gamma_mask(g, m) for m in masks], g.n)
+    return [ones ^ (lanes[u] | lanes[v] | (gamma[u] & gamma[v])) for u, v in pairs], ones
+
+
+def _size_lanes(sets: list, n: int) -> list[int]:
+    """The lanes of the cases of each set size 0..n, case j in lane j."""
+    out = [0] * (n + 1)
+    for j, s in enumerate(sets):
+        out[len(s)] |= 1 << 8 * j
+    return out
+
+
 def _check_circuit_on(
-    report: SuiteReport, g: Graph, k: int, circ, cases: list, expected: int, side: str
+    report: SuiteReport, g: Graph, k: int, circ, sets: list, columns: tuple[list[int], int],
+    select: int, expected: int, side: str,
 ) -> None:
-    """Evaluate ``circ`` on every (set, vector) case; record each one not giving ``expected``."""
-    if not cases:
+    """Evaluate ``circ`` on the cases in the ``select`` lanes; record each one not giving ``expected``."""
+    if not select:
         return
-    got = evaluate_many(circ, [vector for _, vector in cases])
-    report.inputs_tested += len(cases)
-    if got.count(expected) == len(got):
+    got = _eval_masks(circ, *columns)[circ.output]
+    report.inputs_tested += select.bit_count()
+    wrong = select & (got if expected == 0 else ~got)
+    if not wrong:
         return
-    for value, (subset, _) in zip(got, cases):
-        if value != expected:
+    for j, subset in enumerate(sets):
+        if wrong >> 8 * j & 1:
             report.failures.append(
                 {
                     "graph": _graph_repr(g),
@@ -274,18 +318,29 @@ def _check_circuit_on(
                     "side": side,
                     "set": sorted(subset),
                     "expected": expected,
-                    "got": value,
+                    "got": 1 - expected,
                 }
             )
 
 
 def _all_cliques(g: Graph) -> list[tuple[int, ...]]:
+    """Every clique, the empty one first, by size and then lexicographically.
+
+    Each clique grows by the vertices above its last one that are adjacent
+    to all of it, a mask carried along with it.
+    """
     out = [()]
-    for r in range(1, g.n + 1):
-        layer = [c for c in itertools.combinations(range(g.n), r) if g.is_clique(c)]
-        if not layer:
-            break
-        out.extend(layer)
+    layer = [((), (1 << g.n) - 1)]
+    while layer:
+        grown = []
+        for clique, above in layer:
+            while above:
+                low = above & -above
+                above ^= low
+                v = low.bit_length() - 1
+                grown.append((clique + (v,), above & g.adj[v]))
+        out.extend(clique for clique, _ in grown)
+        layer = grown
     return out
 
 
@@ -314,22 +369,25 @@ def _suite_induced_clique(g: Graph, cfg: GameConfig, report: SuiteReport) -> Non
     of the maximal cliques its round joins."""
     mc = maximal_cliques(g)
     omega = _clique_numbers(g)
-    inputs = [tuple([m >> v & 1 for v in range(g.n)]) for m in range(1 << g.n)]
+    rows = 1 << g.n
+    # row m is lane m: vertex v's column holds bit v of every row
+    columns = _lanes(range(rows), g.n)
+    ones = int.from_bytes(b"\x01" * rows, "little")
     for k in range(1, g.n + 1):
         circ = induced_clique_circuit(g, k)
-        got = evaluate_many(circ, inputs)
-        report.inputs_tested += len(inputs)
-        want = [1 if w >= k else 0 for w in omega]
+        got = _eval_masks(circ, columns, ones)[circ.output]
+        report.inputs_tested += rows
+        want = int.from_bytes(bytes([w >= k for w in omega]), "little")
         if got != want:
-            for m, value in enumerate(got):
-                if value != want[m]:
+            for m, value in enumerate(got.to_bytes(rows, "little")):
+                if value != want >> 8 * m & 1:
                     report.failures.append(
                         {
                             "graph": _graph_repr(g),
                             "k": k,
                             "side": "truth-table",
                             "set": [v for v in range(g.n) if m >> v & 1],
-                            "expected": want[m],
+                            "expected": 1 - value,
                             "got": value,
                         }
                     )
@@ -382,14 +440,6 @@ def _referee_play(
         )
 
 
-def _by_size(n: int, cases: list) -> list[list]:
-    """(set, vector) cases in lists by set size, 0..n, each in the given order."""
-    out: list[list] = [[] for _ in range(n + 1)]
-    for case in cases:
-        out[len(case[0])].append(case)
-    return out
-
-
 def _make_separation_suite(kind: GameKind):
     def run(g: Graph, cfg: GameConfig, report: SuiteReport) -> None:
         idx = nonedges(g)
@@ -403,20 +453,19 @@ def _make_separation_suite(kind: GameKind):
             alice_sets = list(_subsets(a_side))
             # Bob's empty set has no Γ(b) in the relaxed game and crosses nothing in the other
             bob_sets = (_all_cliques(g) if kind == RELAXED_CLIQUE else list(_subsets(b_side)))[1:]
-        if kind == RELAXED_CLIQUE:
-            bob_vector = partial(relaxed_non_incidence_vector, g)
-        else:
-            bob_vector = non_incidence_vector
-        # each set's vector once per graph, bucketed by set size; a Bob set
-        # too small for every k gets none.  The sets come in size order, so
-        # reading the buckets in size order keeps it.
-        alice = _by_size(g.n, [(s, incidence_vector(idx, s)) for s in alice_sets if s])
-        bob = _by_size(g.n, [(s, bob_vector(idx, s)) for s in bob_sets if promise_size(kind, slots, len(s)) > bound])
+        # each side's cases once per graph, a lane per set in size order, and
+        # none for a Bob set too small for every k
+        alice_sets = [s for s in alice_sets if s]
+        bob_sets = [s for s in bob_sets if promise_size(kind, slots, len(s)) > bound]
+        alice = _case_columns(g, idx.pairs, [_mask(s) for s in alice_sets], "alice")
+        bob_side = "relaxed" if kind == RELAXED_CLIQUE else "bob"
+        bob = _case_columns(g, idx.pairs, [_mask(s) for s in bob_sets], bob_side)
+        alice_lanes, bob_lanes = _size_lanes(alice_sets, g.n), _size_lanes(bob_sets, g.n)
         for k in range(1, slots + 1):
             circ = game_circuit(g, idx, kind, k, cfg)
-            rejects = [c for size, cases in enumerate(bob) if promise_size(kind, k, size) > bound for c in cases]
-            _check_circuit_on(report, g, k, circ, alice[k], 1, "accepts")
-            _check_circuit_on(report, g, k, circ, rejects, 0, "rejects")
+            rejects = sum(lanes for size, lanes in enumerate(bob_lanes) if promise_size(kind, k, size) > bound)
+            _check_circuit_on(report, g, k, circ, alice_sets, alice, alice_lanes[k], 1, "accepts")
+            _check_circuit_on(report, g, k, circ, bob_sets, bob, rejects, 0, "rejects")
 
     run.__doc__ = (
         f"The round-k circuit of the {kind.name} game accepts the incidence vector "

@@ -14,10 +14,13 @@ from cliquegames.games import (
     EDGE_BICLIQUE,
     RELAXED_CLIQUE,
     GameConfig,
+    incidence_vector,
     legal_answer,
+    non_incidence_vector,
     play,
     promise_bound,
     promise_size,
+    relaxed_non_incidence_vector,
 )
 from cliquegames.graph import OracleLimitError, graph_from_edges, nonedges
 from cliquegames.harness import (
@@ -231,33 +234,99 @@ class TestCliqueNumbers:
             {"graph": {"n": 4, "edges": sorted(g.edges)}, "k": 3, "side": "depth", "expected": cap, "got": cap + 1}
         ]
 
-    def test_a_separation_round_that_misses_is_recorded_case_by_case(self, monkeypatch):
-        # round 2 rejects everything and round 3 accepts everything: every
-        # Alice set of 2 and every Bob set that meets the promise with 3 is
-        # recorded, in the order the suite lists the sets
+    @pytest.mark.parametrize(
+        "suite, g",
+        [
+            pytest.param("incidence-separation", cycle_graph(5), id="incidence-separation"),
+            pytest.param("clique-separation", cycle_graph(5), id="clique-separation"),
+            pytest.param("relaxed-separation", cycle_graph(5), id="relaxed-separation"),
+            # Bob's part has 3 vertices, never more than the bound of 5 less k
+            pytest.param("incidence-separation", complete_bipartite_graph(2, 3, declared=True), id="incidence-bipartite"),
+        ],
+    )
+    def test_a_separation_round_that_misses_is_recorded_case_by_case(self, monkeypatch, suite, g):
+        # rounds 1 and 3 accept everything and rounds 2 and 4 reject
+        # everything: every Alice set of 2 or 4 and every Bob set that meets
+        # the promise with 1 or 3 is recorded, in the order the suite lists
+        # the sets.  A round where the failing side has no case (a clique of
+        # 4 in C5, any Bob set on K2,3) records and counts nothing.
         original = harness.game_circuit
+        patched = {1: 1, 2: 0, 3: 1, 4: 0}
 
         def broken(g, idx, kind, k, cfg):
-            return _constant(g, {2: 0, 3: 1}[k]) if k in (2, 3) else original(g, idx, kind, k, cfg)
+            return _constant(g, patched[k]) if k in patched else original(g, idx, kind, k, cfg)
 
-        g = cycle_graph(5)
-        healthy = run_suite("incidence-separation", [g])
+        healthy = run_suite(suite, [g])
         monkeypatch.setattr(harness, "game_circuit", broken)
-        report = run_suite("incidence-separation", [g])
-        bound = promise_bound(BICLIQUE, g)
-        subsets = [c for r in range(1, g.n + 1) for c in itertools.combinations(range(g.n), r)]
+        report = run_suite(suite, [g])
+        kind = {"incidence-separation": BICLIQUE, "clique-separation": CLIQUE, "relaxed-separation": RELAXED_CLIQUE}[suite]
+        bound = promise_bound(kind, g)
+        parts = [sorted(p) for p in g.bipartition] if g.bipartition else [range(g.n)] * 2
+        alice, bob = ([c for r in range(1, len(p) + 1) for c in itertools.combinations(p, r)] for p in parts)
+        if suite != "incidence-separation":
+            bob = [c for c in bob if g.is_clique(c)]
+        if suite == "clique-separation":
+            # Bob may hold the empty clique in the clique game
+            alice, bob = [c for c in alice if g.is_clique(c)], [()] + bob
+        accepts = {k: [s for s in alice if len(s) == k] for k in range(1, len(parts[0]) + 1)}
+        rejects = {k: [s for s in bob if promise_size(kind, k, len(s)) > bound] for k in accepts}
         graph = {"n": g.n, "edges": sorted(g.edges)}
-        want = [
-            {"graph": graph, "k": 2, "side": "accepts", "set": list(s), "expected": 1, "got": 0}
-            for s in subsets
-            if len(s) == 2
-        ] + [
-            {"graph": graph, "k": 3, "side": "rejects", "set": list(s), "expected": 0, "got": 1}
-            for s in subsets
-            if promise_size(BICLIQUE, 3, len(s)) > bound
-        ]
+        want = []
+        for k in sorted(set(patched) & set(accepts)):
+            side, expected, sets = ("accepts", 1, accepts[k]) if patched[k] == 0 else ("rejects", 0, rejects[k])
+            want += [{"graph": graph, "k": k, "side": side, "set": list(s), "expected": expected, "got": 1 - expected} for s in sets]
         assert report.failures == want
-        assert healthy.passed and healthy.inputs_tested == report.inputs_tested
+        assert healthy.passed
+        assert healthy.inputs_tested == report.inputs_tested == sum(len(accepts[k]) + len(rejects[k]) for k in accepts)
+        if suite == "clique-separation":
+            assert not accepts[4] and not [f for f in want if f["k"] == 4]
+        if g.bipartition is not None:
+            assert not any(rejects.values()) and not [f for f in want if f["side"] == "rejects"]
+
+
+class TestSeparationLanes:
+    """The separator suites' byte-lane columns and clique lists against the public references."""
+
+    def test_all_cliques_matches_subset_testing(self):
+        graphs = catalog_all_graphs(5) + [
+            random_graph(n, p, random.Random(f"{n}:{p}:{s}")) for n in range(6, 10) for p in (0.3, 0.5, 0.7) for s in range(4)
+        ]
+        for g in graphs:
+            want = [()] + [c for r in range(1, g.n + 1) for c in itertools.combinations(range(g.n), r) if g.is_clique(c)]
+            assert harness._all_cliques(g) == want, sorted(g.edges)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 8, 9, 16])
+    def test_vertex_lanes_hold_each_mask_bit(self, n):
+        rng = random.Random(n)
+        for cases in (0, 1, 7, 64, 300):
+            masks = [rng.getrandbits(n) for _ in range(cases)]
+            lanes = harness._lanes(masks, n)
+            assert len(lanes) == n
+            for v, column in enumerate(lanes):
+                assert column == sum((m >> v & 1) << 8 * j for j, m in enumerate(masks)), (cases, v)
+
+    def test_lanes_read_back_as_the_vector_makers(self):
+        declared = [
+            complete_bipartite_graph(2, 2, declared=True),
+            complete_bipartite_graph(2, 3, declared=True),
+            graph_from_edges(5, [(0, 3), (1, 3), (1, 4), (2, 4)], bipartition=({0, 1, 2}, {3, 4})),
+        ]
+        makers = {
+            "alice": incidence_vector,
+            "bob": non_incidence_vector,
+            "relaxed": lambda idx, s: relaxed_non_incidence_vector(g, idx, s),
+        }
+        for g in catalog_all_graphs(5) + declared:
+            idx = nonedges(g)
+            for side, maker in makers.items():
+                if side == "relaxed" and g.bipartition is not None:
+                    continue
+                masks = list(range(side == "relaxed", 1 << g.n))
+                columns, ones = harness._case_columns(g, idx.pairs, masks, side)
+                assert ones == int.from_bytes(b"\x01" * len(masks), "little")
+                for j, m in enumerate(masks):
+                    lanes = tuple(c >> 8 * j & 0xFF for c in columns)
+                    assert lanes == maker(idx, _members(m)), (sorted(g.edges), side, m)
 
 
 class TestWorstCaseBits:
