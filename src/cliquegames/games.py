@@ -53,6 +53,7 @@ from .circuit import (
     CircuitInvariantError,
     CountRow,
     Gate,
+    _eval_masks,
     balanced,
     build_threshold_sort,
     cone,
@@ -253,11 +254,16 @@ class SeparatorNetwork:
     ``circuit(k)`` assembles round k's circuit on every call, numbered as
     one builder would number it for that k alone: the prefix cone under the
     slots the round reads, then each qualifying group's threshold-k cone
-    (``build_threshold_sort``), then the OR tree.  ``depth`` builds no
-    graft or tree gate: one ``node_depths`` pass over a group's network,
-    from its inputs' depths, gives its threshold-k nodes' depths, once per
-    pattern of input depths, and an OR tree pairs its leaves' depths as
-    ``CircuitBuilder.or_tree`` pairs nodes.
+    (``build_threshold_sort``), then the OR tree.  It serves
+    ``build-circuit`` (``game_circuit``) and the references; the separator
+    suites assemble no circuit.  They hand each side's lane columns to
+    ``round_columns``, which evaluates the network once for every k: the
+    stored gates, each group's network and round k's OR tree as a walk
+    reads it.  ``depths`` builds no graft or tree gate either: one
+    ``node_depths`` pass over a group's network, from its inputs' depths,
+    gives its threshold-k nodes' depths, once per pattern of input depths,
+    and an OR tree pairs its leaves' depths as ``CircuitBuilder.or_tree``
+    pairs nodes; ``depth`` is the deepest round's.
 
     Plays read a monomial network through tables built on a party's first
     request (``prefix_rows``, ``slot_table``, ``round``, ``graft_reads``),
@@ -393,15 +399,43 @@ class SeparatorNetwork:
         reads = {c for gate in whole.gates[lead:] if gate[0] != CONST for c in gate[1:] if c < lead}
         return whole if reads.issuperset(self.slot_nodes) else extract(whole.gates, root, self._var_count)
 
-    @cached_property
-    def depth(self) -> int:
-        """The deepest round's circuit depth, with no graft or tree gate built."""
+    def round_columns(self, var_masks: Sequence[int], ones: int) -> list[int]:
+        """Every round's root column on one side's lanes, round k's at index k - 1.
+
+        The lanes are as ``_eval_masks`` takes them.  The threshold family
+        reads its roots from one pass over ``array``.  A clique family makes
+        one pass over the prefix, then one pass of each group's network over
+        its slots' columns, appended at the group's ids, and ORs each round's
+        qualifying groups up the tree of ``walk(k)``; a round with no
+        qualifying group reads constant 0.
+        """
         if not self.slots:
-            return 0
+            return []
+        self._ready(1)
+        vals = _eval_masks(self.array, var_masks, ones)
+        if self.family == "threshold":
+            return [vals[root] for root in self.roots]
+        nodes = self.slot_nodes
+        for _, slots in self.grafts:
+            vals += _eval_masks(threshold_network(len(slots))[0], [vals[nodes[s]] for s in slots], ones)
+        top, out = self.top, []
+        for k in range(1, self.slots + 1):
+            walk = self.walk(k)
+            for gate in walk.tree:  # OR gates, or the constant 0 of a round no group joins
+                vals.append(vals[gate[1]] | vals[gate[2]] if gate[0] == OR else 0)
+            out.append(vals[walk.root])
+            del vals[top:]
+        return out
+
+    @cached_property
+    def depths(self) -> list[int]:
+        """Every round's circuit depth, round k's at index k - 1, with no graft or tree gate built."""
+        if not self.slots:
+            return []
         self._ready(1)
         depths = node_depths(self.gates)
         if self.family == "threshold":
-            return max(depths[root] for root in self.roots)
+            return [depths[root] for root in self.roots]
         inputs, rows, memo = [depths[node] for node in self.slot_nodes], [], {}
         for graft in self.grafts:
             # per pattern of input depths, its threshold-k node's depth for each k
@@ -413,7 +447,13 @@ class SeparatorNetwork:
             rows.append(memo[pattern])
         deeper = lambda x, y: (x if x > y else y) + 1  # noqa: E731
         widest = len(max(rows, key=len))
-        return max(balanced(deeper, [row[k - 1] for row in rows if len(row) >= k]) for k in range(1, widest + 1))
+        joined = [balanced(deeper, [row[k - 1] for row in rows if len(row) >= k]) for k in range(1, widest + 1)]
+        return joined + [0] * (self.slots - widest)  # a round no group joins is constant 0
+
+    @property
+    def depth(self) -> int:
+        """The deepest round's circuit depth."""
+        return max(self.depths, default=0)
 
     def prefix_rows(self) -> tuple[tuple[int, int], ...]:
         """Per node below ``lead``, the (vertex bit, partner mask) of the AND it is.

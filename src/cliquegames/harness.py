@@ -4,10 +4,11 @@ Suites evaluate the separator-circuit guarantees and referee full protocol
 runs over small graph catalogs.  Failures are data, not exceptions: each one
 carries enough to reproduce (edge list, k, the sets, the seed).
 
-The separator suites evaluate byte-lane columns built from set masks, one
-lane per case, with ``circuit._eval_masks``; ``evaluate_many`` and the
-vector makers of ``games`` stay the public batch API and the references
-the lanes are tested against.
+The separator suites build byte-lane columns from set masks, one lane per
+case, and evaluate each side once per network for every k
+(``SeparatorNetwork.round_columns``); ``circuit(k)`` serves
+``build-circuit``.  ``evaluate_many`` and the vector makers of ``games``
+stay the public batch API and the references the lanes are tested against.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .circuit import _eval_masks, build_threshold_sort
+from .circuit import build_threshold_sort
 from .games import (
     BICLIQUE,
     CLIQUE,
@@ -30,9 +31,8 @@ from .games import (
     GameKind,
     _gamma_mask,
     _game_network,
+    _network,
     bit_bound,
-    game_circuit,
-    induced_clique_circuit,
     legal_answer,
     play,
     promise_bound,
@@ -46,7 +46,6 @@ from .graph import (
     _mask,
     graph_from_edges,
     maximal_cliques,
-    nonedges,
     strip_stars,
 )
 
@@ -297,30 +296,24 @@ def _size_lanes(sets: list, n: int) -> list[int]:
     return out
 
 
+def _fail(report: SuiteReport, g: Graph, k: int, side: str, expected: int, got: int, **case) -> None:
+    """Record that round k gave ``got`` where ``expected`` was due, on the ``case`` named (a set, or none)."""
+    report.failures.append({"graph": _graph_repr(g), "k": k, "side": side, **case, "expected": expected, "got": got})
+
+
 def _check_circuit_on(
-    report: SuiteReport, g: Graph, k: int, circ, sets: list, columns: tuple[list[int], int],
-    select: int, expected: int, side: str,
+    report: SuiteReport, g: Graph, k: int, got: int, sets: list, select: int, expected: int, side: str
 ) -> None:
-    """Evaluate ``circ`` on the cases in the ``select`` lanes; record each one not giving ``expected``."""
+    """Check round k's column ``got`` on the cases in the ``select`` lanes; record each one not giving ``expected``."""
     if not select:
         return
-    got = _eval_masks(circ, *columns)[circ.output]
     report.inputs_tested += select.bit_count()
     wrong = select & (got if expected == 0 else ~got)
     if not wrong:
         return
     for j, subset in enumerate(sets):
         if wrong >> 8 * j & 1:
-            report.failures.append(
-                {
-                    "graph": _graph_repr(g),
-                    "k": k,
-                    "side": side,
-                    "set": sorted(subset),
-                    "expected": expected,
-                    "got": 1 - expected,
-                }
-            )
+            _fail(report, g, k, side, expected, 1 - expected, set=sorted(subset))
 
 
 def _all_cliques(g: Graph) -> list[tuple[int, ...]]:
@@ -370,43 +363,24 @@ def _suite_induced_clique(g: Graph, cfg: GameConfig, report: SuiteReport) -> Non
     mc = maximal_cliques(g)
     omega = _clique_numbers(g)
     rows = 1 << g.n
+    net = _network(g, "induced")
     # row m is lane m: vertex v's column holds bit v of every row
-    columns = _lanes(range(rows), g.n)
-    ones = int.from_bytes(b"\x01" * rows, "little")
-    for k in range(1, g.n + 1):
-        circ = induced_clique_circuit(g, k)
-        got = _eval_masks(circ, columns, ones)[circ.output]
+    columns = net.round_columns(_lanes(range(rows), g.n), int.from_bytes(b"\x01" * rows, "little"))
+    for k, got in enumerate(columns, 1):
         report.inputs_tested += rows
         want = int.from_bytes(bytes([w >= k for w in omega]), "little")
         if got != want:
             for m, value in enumerate(got.to_bytes(rows, "little")):
                 if value != want >> 8 * m & 1:
-                    report.failures.append(
-                        {
-                            "graph": _graph_repr(g),
-                            "k": k,
-                            "side": "truth-table",
-                            "set": [v for v in range(g.n) if m >> v & 1],
-                            "expected": 1 - value,
-                            "got": value,
-                        }
-                    )
+                    _fail(report, g, k, "truth-table", 1 - value, value, set=[v for v in range(g.n) if m >> v & 1])
         qualifying = [c for c in mc if len(c) >= k]
         depth_cap = 0
         if qualifying:
             depth_cap = math.ceil(math.log2(len(qualifying))) + max(
                 build_threshold_sort(len(c), k).depth for c in qualifying
             )
-        if circ.depth > depth_cap:
-            report.failures.append(
-                {
-                    "graph": _graph_repr(g),
-                    "k": k,
-                    "side": "depth",
-                    "expected": depth_cap,
-                    "got": circ.depth,
-                }
-            )
+        if net.depths[k - 1] > depth_cap:
+            _fail(report, g, k, "depth", depth_cap, net.depths[k - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +416,8 @@ def _referee_play(
 
 def _make_separation_suite(kind: GameKind):
     def run(g: Graph, cfg: GameConfig, report: SuiteReport) -> None:
-        idx = nonedges(g)
-        slots = _game_network(g, kind).slots
+        net = _game_network(g, kind)
+        slots = net.slots
         bound = promise_bound(kind, g)
         # the sets each side can hold
         if kind == CLIQUE:
@@ -457,15 +431,15 @@ def _make_separation_suite(kind: GameKind):
         # none for a Bob set too small for every k
         alice_sets = [s for s in alice_sets if s]
         bob_sets = [s for s in bob_sets if promise_size(kind, slots, len(s)) > bound]
-        alice = _case_columns(g, idx.pairs, [_mask(s) for s in alice_sets], "alice")
+        # and every round's column of each side from one pass per network
+        alice = net.round_columns(*_case_columns(g, net.pairs, [_mask(s) for s in alice_sets], "alice"))
         bob_side = "relaxed" if kind == RELAXED_CLIQUE else "bob"
-        bob = _case_columns(g, idx.pairs, [_mask(s) for s in bob_sets], bob_side)
+        bob = net.round_columns(*_case_columns(g, net.pairs, [_mask(s) for s in bob_sets], bob_side))
         alice_lanes, bob_lanes = _size_lanes(alice_sets, g.n), _size_lanes(bob_sets, g.n)
         for k in range(1, slots + 1):
-            circ = game_circuit(g, idx, kind, k, cfg)
             rejects = sum(lanes for size, lanes in enumerate(bob_lanes) if promise_size(kind, k, size) > bound)
-            _check_circuit_on(report, g, k, circ, alice_sets, alice, alice_lanes[k], 1, "accepts")
-            _check_circuit_on(report, g, k, circ, bob_sets, bob, rejects, 0, "rejects")
+            _check_circuit_on(report, g, k, alice[k - 1], alice_sets, alice_lanes[k], 1, "accepts")
+            _check_circuit_on(report, g, k, bob[k - 1], bob_sets, rejects, 0, "rejects")
 
     run.__doc__ = (
         f"The round-k circuit of the {kind.name} game accepts the incidence vector "

@@ -1467,6 +1467,18 @@ class TestBitBound:
                     sorted(g.edges),
                 )
 
+    def test_every_rounds_depth_is_its_circuits(self):
+        # all three families, but not the clique family on a bipartite-declared
+        # graph: the game is undefined there, and its constant slots fold away
+        graphs = list(catalog_all_graphs(5)) + [complete_bipartite_graph(2, 3, declared=True), _moon_moser(3)]
+        for g in graphs:
+            for family in ("threshold", "clique", "induced"):
+                if family == "clique" and g.bipartition is not None:
+                    continue
+                net = games_module._network(g, family)
+                assert net.depths == [net.circuit(k).depth for k in range(1, net.slots + 1)], (family, sorted(g.edges))
+                assert net.depth == max(net.depths)
+
     def test_n128_network_is_one_small_array(self):
         # one gate array for every k: the 128 per-k circuits, each with its
         # own copy of the monomial prefix, held about 1.8 M gates between them

@@ -7,14 +7,17 @@ import pytest
 
 from brute import brute_contains_k_clique
 from cliquegames import harness
-from cliquegames.circuit import AND, CONST, Circuit
+from cliquegames.circuit import _eval_masks
 from cliquegames.games import (
     BICLIQUE,
     CLIQUE,
     EDGE_BICLIQUE,
     RELAXED_CLIQUE,
     GameConfig,
+    SeparatorNetwork,
+    _network,
     incidence_vector,
+    induced_clique_circuit,
     legal_answer,
     non_incidence_vector,
     play,
@@ -147,22 +150,30 @@ class TestSuites:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.circuit_cache = {}
 
-    def test_failures_carry_reproduction_data(self):
-        # force a failure by lying about the edge bound via a monkeypatched
-        # kind; simpler: check the failure record structure via a contrived
-        # suite over an impossible bound is not reachable, so instead verify
-        # the record fields on a healthy run are absent and the report
-        # invariant failures == [] <=> passed holds
-        report = run_suite("game-clique", [cycle_graph(5)])
-        assert report.passed == (not report.failures)
+    def test_failures_carry_reproduction_data(self, monkeypatch):
+        # the referee refuses one nonedge of C5: every play that agrees on it
+        # is recorded, with what it takes to play it again
+        g, refused = cycle_graph(5), (0, 2)
+
+        def refuse(kind, g, a, b, pair):
+            return tuple(sorted(pair)) != refused and legal_answer(kind, g, a, b, pair)
+
+        monkeypatch.setattr(harness, "legal_answer", refuse)
+        report = run_suite("game-clique", [g])
+        cfg = GameConfig()
+        agreeing = [vi for vi in enumerate_valid_inputs(g, CLIQUE, cfg) if play(CLIQUE, g, vi.a, vi.b, cfg).nonedge == refused]
+        assert agreeing and not report.passed
+        assert [(f["a"], f["b"]) for f in report.failures] == [(sorted(vi.a), sorted(vi.b)) for vi in agreeing]
+        for f in report.failures:
+            assert list(f) == ["graph", "game", "a", "b", "problem", "bits"]
+            assert f["graph"] == {"n": 5, "edges": sorted(g.edges)}
+            assert (f["game"], f["problem"]) == ("clique", "illegal-answer")
+            replayed = play(CLIQUE, g, f["a"], f["b"], cfg)
+            assert replayed.nonedge == refused and replayed.transcript.total_bits == f["bits"]
 
 
 def _members(m):
     return [v for v in range(m.bit_length()) if m >> v & 1]
-
-
-def _constant(g, bit):
-    return Circuit(((CONST, bit),), 0, len(nonedges(g).pairs))
 
 
 class TestCliqueNumbers:
@@ -185,14 +196,14 @@ class TestCliqueNumbers:
                     assert (w >= k) == brute_contains_k_clique(g, members, k), (sorted(g.edges), m, k)
 
     def test_a_wrong_round_is_recorded_row_by_row(self, monkeypatch):
-        # round k asks for round k + 1's circuit, which misses every set whose
-        # largest clique has exactly k vertices
-        original = harness.induced_clique_circuit
+        # round k reads round k + 1's column, which misses every set whose
+        # largest clique has exactly k vertices; the last round reads constant 0
+        original = SeparatorNetwork.round_columns
 
-        def next_round(g, k):
-            return original(g, k + 1) if k < g.n else Circuit(((CONST, 0),), 0, g.n)
+        def next_round(net, var_masks, ones):
+            return original(net, var_masks, ones)[1:] + [0]
 
-        monkeypatch.setattr(harness, "induced_clique_circuit", next_round)
+        monkeypatch.setattr(SeparatorNetwork, "round_columns", next_round)
         graphs = [cycle_graph(5), path_graph(4), graph_from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])]
         report = run_suite("induced-clique", graphs)
         want = []
@@ -218,17 +229,14 @@ class TestCliqueNumbers:
     def test_depth_cap_counts_only_the_cliques_round_k_joins(self, monkeypatch):
         # a triangle with a pendant edge: round 3 joins one of the two maximal
         # cliques, so its cap has no OR level, and one gate more is recorded
-        original = harness.induced_clique_circuit
         g = graph_from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-        cap = original(g, 3).depth
+        cap = induced_clique_circuit(g, 3).depth
+        original = SeparatorNetwork.depths.func
 
-        def deeper(g, k):
-            c = original(g, k)
-            if k != 3:
-                return c
-            return Circuit(c.gates + ((AND, c.output, c.output),), len(c.gates), c.var_count)
+        def deeper(net):
+            return [depth + (k == 3) for k, depth in enumerate(original(net), 1)]
 
-        monkeypatch.setattr(harness, "induced_clique_circuit", deeper)
+        monkeypatch.setattr(SeparatorNetwork, "depths", property(deeper))
         report = run_suite("induced-clique", [g])
         assert report.failures == [
             {"graph": {"n": 4, "edges": sorted(g.edges)}, "k": 3, "side": "depth", "expected": cap, "got": cap + 1}
@@ -250,14 +258,15 @@ class TestCliqueNumbers:
         # the promise with 1 or 3 is recorded, in the order the suite lists
         # the sets.  A round where the failing side has no case (a clique of
         # 4 in C5, any Bob set on K2,3) records and counts nothing.
-        original = harness.game_circuit
+        original = SeparatorNetwork.round_columns
         patched = {1: 1, 2: 0, 3: 1, 4: 0}
 
-        def broken(g, idx, kind, k, cfg):
-            return _constant(g, patched[k]) if k in patched else original(g, idx, kind, k, cfg)
+        def broken(net, var_masks, ones):
+            columns = original(net, var_masks, ones)
+            return [(ones if patched[k] else 0) if k in patched else c for k, c in enumerate(columns, 1)]
 
         healthy = run_suite(suite, [g])
-        monkeypatch.setattr(harness, "game_circuit", broken)
+        monkeypatch.setattr(SeparatorNetwork, "round_columns", broken)
         report = run_suite(suite, [g])
         kind = {"incidence-separation": BICLIQUE, "clique-separation": CLIQUE, "relaxed-separation": RELAXED_CLIQUE}[suite]
         bound = promise_bound(kind, g)
@@ -327,6 +336,27 @@ class TestSeparationLanes:
                 for j, m in enumerate(masks):
                     lanes = tuple(c >> 8 * j & 0xFF for c in columns)
                     assert lanes == maker(idx, _members(m)), (sorted(g.edges), side, m)
+
+    def test_suites_check_what_build_circuit_prints(self):
+        # every round's column from one pass per side is the column of round
+        # k's extracted circuit, on the lanes each separator suite builds
+        declared = [complete_bipartite_graph(2, 2, declared=True), graph_from_edges(4, [(0, 3), (1, 3)], bipartition=({0, 1, 2}, {3}))]
+        for g in catalog_all_graphs(4) + declared:
+            rows = 1 << g.n
+            cases = {("induced", "truth-table"): (harness._lanes(range(rows), g.n), int.from_bytes(b"\x01" * rows, "little"))}
+            for family, sides in (("threshold", ("alice", "bob")), ("clique", ("alice", "bob", "relaxed"))):
+                if family == "clique" and g.bipartition is not None:
+                    continue
+                for side in sides:
+                    masks = list(range(side == "relaxed", rows))
+                    cases[family, side] = harness._case_columns(g, _network(g, family).pairs, masks, side)
+            for (family, side), (columns, ones) in cases.items():
+                net = _network(g, family)
+                got = net.round_columns(columns, ones)
+                assert len(got) == net.slots
+                for k in range(1, net.slots + 1):
+                    circ = net.circuit(k)
+                    assert got[k - 1] == _eval_masks(circ, columns, ones)[circ.output], (sorted(g.edges), family, side, k)
 
 
 class TestWorstCaseBits:
